@@ -41,7 +41,8 @@ class AppConfig:
         return {c.camera_id: c for c in self.cameras}
 
     def location_map(self) -> dict[int, str]:
-        return {c.camera_id: c.location for c in self.cameras if c.location}
+        """Every configured camera's location label, "" for a camera without one."""
+        return {c.camera_id: c.location for c in self.cameras}
 
     def holiday_days(self) -> frozenset[int]:
         return frozenset(date_to_day(d) for d in self.holidays)

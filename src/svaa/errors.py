@@ -25,6 +25,10 @@ class StoreUnwritable(AnalyticsError):
     """The record store directory cannot be created or appended to."""
 
 
+class StoreLocked(AnalyticsError):
+    """Another handle holds the record store's writer lock."""
+
+
 class EmptyHistory(AnalyticsError):
     """A percentile was requested over an empty history."""
 

@@ -18,7 +18,7 @@ from .errors import InvertedRange, UnknownCamera, UnknownLocation
 from .records import HUMAN_CLASS, RecordStore, iter_class0
 from .timeutil import US_PER_HOUR, floor_to, from_us, to_us
 
-# camera_id -> location label; total over configured cameras
+# camera_id -> location label ("" for none); total over configured cameras
 LocationMap = dict[int, str]
 
 
@@ -43,12 +43,11 @@ def resolve_group(
     if group is None:
         return store.camera_ids()
     if isinstance(group, str):
-        if not location_map or group not in set(location_map.values()):
+        if not group or not location_map or group not in set(location_map.values()):
             raise UnknownLocation(f"location {group!r} is not configured")
         return sorted(c for c, loc in location_map.items() if loc == group)
-    known = set(location_map) if location_map else set(store.camera_ids())
-    if group not in known:
-        raise UnknownCamera(f"camera {group} is not configured")
+    if group not in (location_map or ()) and group not in store.camera_ids():
+        raise UnknownCamera(f"camera {group} is neither configured nor stored")
     return [group]
 
 

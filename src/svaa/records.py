@@ -1,20 +1,50 @@
 """Detection-record schema, the append-only store, and windowed distinct counts.
 
 Records arrive as newline-delimited JSON objects, one detection per line.
-They are persisted verbatim into one append-only file per camera; queries
-run against per-camera in-memory indexes (time-sorted numpy columns) that
-are rebuilt lazily at the first read after an append. That rebuild point is
-the ingest boundary of the concurrency contract: a single writer appends,
-readers see immutable snapshots.
+They are persisted verbatim into one append-only file per camera,
+`camera_NNNNN.jsonl`; queries run against per-camera in-memory indexes
+(time-sorted numpy columns) that are rebuilt lazily at the first read after
+an append. That rebuild point is the ingest boundary of the concurrency
+contract: a single writer appends, readers see immutable indexes.
+
+The JSONL files are the source of truth. Beside each one sits a columnar
+snapshot, `camera_NNNNN.snap.npz`, so that opening a store does not re-parse
+what was validated at ingest (a snapshot plus a log tail, as in an LSM
+tree). It holds the eight record columns in append order, the sparse
+feature/batch_id extras as JSON bytes, and a stamp: the length N of the
+newline-terminated file prefix whose rows it holds, and the SHA-256 of
+those N bytes. On open a snapshot is used only if N fits in the file and
+the digest of the file's first N bytes matches; otherwise the whole file is
+parsed. Either way only the bytes past the snapshot are parsed, with line
+numbers counted from the start of the file. Opening rewrites a missing or
+stale snapshot and close() refreshes the snapshot of every camera the
+handle appended to; both are best effort, a failure is logged and changes
+no answer. The zip container's CRC-32 guards the snapshot's own bytes.
+
+One writer at a time: a handle takes an advisory `flock` on `<store>/.lock`
+at its first append and holds it until close(); a second writer gets
+StoreLocked. The lock is what lets close() stamp a snapshot with the bytes
+the handle parsed plus the bytes it wrote: if the file's length differs,
+no snapshot is written. A crash during an append can leave an unterminated
+last line. Opening keeps it if it parses and skips it with a warning if
+not; before its first append, a writer ends such a line with a newline or,
+if it does not parse, cuts it off. A malformed line anywhere else raises
+MalformedLine with its line number.
 """
 
 from __future__ import annotations
 
+import fcntl
+import hashlib
 import json
 import logging
+import os
+import tempfile
+import zipfile
 from array import array
 from dataclasses import dataclass
 from datetime import datetime
+from math import isfinite
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -26,6 +56,7 @@ from .errors import (
     InvalidTimestamp,
     InvertedRange,
     MalformedLine,
+    StoreLocked,
     StoreUnwritable,
 )
 from .timeutil import WINDOW_US, from_us, to_us
@@ -81,6 +112,7 @@ class IngestReport:
 
 
 _NUMBER = (int, float)
+_INT64_MAX = 2**63 - 1  # ids and classes are stored as int64 columns
 
 
 def _parse_fields(line: str) -> tuple:
@@ -106,20 +138,27 @@ def _parse_fields(line: str) -> tuple:
         raise MalformedLine(f"missing field {exc.args[0]}") from exc
 
     time_us = timeutil.parse_rfc3339(time_text)
-    if type(camera_id) is not int or camera_id <= 0:
-        raise MalformedLine(f"camera_id must be a positive integer, got {camera_id!r}")
-    if type(class_id) is not int or class_id < 0:
-        raise MalformedLine(f"class_id must be a nonnegative integer, got {class_id!r}")
-    if type(local_id) is not int or local_id <= 0:
-        raise MalformedLine(f"local_id must be a positive integer, got {local_id!r}")
-    if type(global_id) is not int or global_id <= 0:
-        raise MalformedLine(f"global_id must be a positive integer, got {global_id!r}")
+    if type(camera_id) is not int or not 0 < camera_id <= _INT64_MAX:
+        raise MalformedLine(f"camera_id must be a positive 64-bit integer, got {camera_id!r}")
+    if type(class_id) is not int or not 0 <= class_id <= _INT64_MAX:
+        raise MalformedLine(f"class_id must be a nonnegative 64-bit integer, got {class_id!r}")
+    if type(local_id) is not int or not 0 < local_id <= _INT64_MAX:
+        raise MalformedLine(f"local_id must be a positive 64-bit integer, got {local_id!r}")
+    if type(global_id) is not int or not 0 < global_id <= _INT64_MAX:
+        raise MalformedLine(f"global_id must be a positive 64-bit integer, got {global_id!r}")
 
     if type(raw_bbox) is not list or len(raw_bbox) != 4:
         raise MalformedLine(f"bbox must be a 4-element array, got {raw_bbox!r}")
     x, y, w, h = raw_bbox
-    if not (isinstance(x, _NUMBER) and isinstance(y, _NUMBER) and isinstance(w, _NUMBER) and isinstance(h, _NUMBER)):
+    # exact types: a JSON true is a Python bool, which isinstance counts as an int
+    if not (type(x) in _NUMBER and type(y) in _NUMBER and type(w) in _NUMBER and type(h) in _NUMBER):
         raise MalformedLine(f"bbox must be numeric, got {raw_bbox!r}")
+    try:
+        finite = isfinite(x) and isfinite(y) and isfinite(w) and isfinite(h)
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
+        raise MalformedLine(f"bbox must be finite, got {raw_bbox!r}")
     if w <= 0 or h <= 0:
         raise InvalidBBox(f"bbox extent must be positive, got w={w} h={h}")
     if x < 0 or y < 0:
@@ -206,6 +245,13 @@ class _CameraIndex:
 
 _EMPTY_LOG: "_CameraLog | None" = None
 
+# snapshot columns in _CameraLog order, with their array typecodes
+_COLUMNS = (("times", "q"), ("class_ids", "q"), ("global_ids", "q"), ("local_ids", "q"),
+            ("x", "d"), ("y", "d"), ("w", "d"), ("h", "d"))
+_DTYPES = {"q": np.dtype(np.int64), "d": np.dtype(np.float64)}
+_CHUNK = 1 << 20  # bytes read at a time when hashing part of a file
+_LINE_ERRORS = (MalformedLine, InvalidTimestamp, InvalidBBox)
+
 
 class _CameraLog:
     """Append buffers for one camera plus its lazily built index."""
@@ -224,7 +270,12 @@ class _CameraLog:
         self.extras: dict[int, tuple[str | None, object]] = {}
         self._index: _CameraIndex | None = None
 
-    def append_row(self, time_us, class_id, global_id, local_id, x, y, w, h, feature, batch_id) -> None:
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def append_fields(self, fields: tuple) -> None:
+        """Append one row from a _parse_fields tuple."""
+        time_us, _, class_id, x, y, w, h, local_id, global_id, feature, batch_id = fields
         if feature is not None or batch_id is not None:
             self.extras[len(self.times)] = (feature, batch_id)
         self.times.append(time_us)
@@ -235,6 +286,13 @@ class _CameraLog:
         self.y.append(y)
         self.w.append(w)
         self.h.append(h)
+        self._index = None
+
+    def load_snapshot(self, snap: "_Snapshot") -> None:
+        """Fill this empty log with a snapshot's rows, releasing its columns as they are copied."""
+        for name, _ in _COLUMNS:
+            getattr(self, name).frombytes(snap.columns.pop(name).view(np.uint8))
+        self.extras.update((row, (feature, batch_id)) for row, feature, batch_id in snap.extras)
         self._index = None
 
     def index(self) -> _CameraIndex:
@@ -250,19 +308,103 @@ def _empty_index() -> _CameraIndex:
     return _EMPTY_LOG.index()
 
 
+@dataclass(slots=True)
+class _Snapshot:
+    covered: int  # length of the file prefix whose rows the columns hold
+    digest: bytes  # SHA-256 of that prefix
+    columns: dict[str, np.ndarray]
+    extras: list  # [row, feature, batch_id] for rows that carry either
+
+
+def _read_snapshot(path: Path) -> _Snapshot | None:
+    """The snapshot at path, or None if it is missing or not well formed."""
+    try:
+        with np.load(path, allow_pickle=False) as z:
+            snap = _Snapshot(int(z["covered"]), z["sha256"].tobytes(),
+                             {name: z[name] for name, _ in _COLUMNS}, json.loads(z["extras"].tobytes()))
+    except FileNotFoundError:
+        return None
+    except (OSError, ValueError, TypeError, KeyError, EOFError, zipfile.BadZipFile) as exc:
+        logger.warning("ignoring snapshot %s: %s", path, exc)
+        return None
+    rows = len(snap.columns["times"])
+    well_formed = (
+        snap.covered >= 0 and len(snap.digest) == 32
+        and all(snap.columns[name].shape == (rows,) and snap.columns[name].dtype == _DTYPES[code]
+                for name, code in _COLUMNS)
+        and isinstance(snap.extras, list)
+        and all(type(e) is list and len(e) == 3 and type(e[0]) is int and 0 <= e[0] < rows
+                and (e[1] is None or type(e[1]) is str) for e in snap.extras)
+    )
+    if not well_formed:
+        logger.warning("ignoring snapshot %s: columns or stamp not well formed", path)
+        return None
+    return snap
+
+
+def _hash_next(fh, n: int, sha) -> None:
+    """Feed the next n bytes of fh (fewer at end of file) to sha."""
+    while n > 0:
+        chunk = fh.read(min(n, _CHUNK))
+        if not chunk:
+            break
+        sha.update(chunk)
+        n -= len(chunk)
+
+
+def _lines_before(path: Path, n: int) -> int:
+    """Newlines in the file's first n bytes, to number the lines past them."""
+    with path.open("rb") as fh:
+        return fh.read(n).count(b"\n")
+
+
+def _parse_stored(raw: bytes) -> tuple | None:
+    """Fields of one stored line, or None for a blank one."""
+    try:
+        line = raw.decode("utf-8").strip()
+    except UnicodeDecodeError as exc:
+        raise MalformedLine(f"not UTF-8: {exc}") from exc
+    return _parse_fields(line) if line else None
+
+
+class _CameraFile:
+    """What one store handle knows of a camera's JSONL file.
+
+    The first `covered` bytes are newline-terminated lines whose rows the
+    camera's log holds, and `sha` is the SHA-256 state over those bytes.
+    `torn` is an unterminated last line past them; `torn_row` says that it
+    parsed and is the log's last row. `written` counts the bytes appended
+    through `fh` since the last snapshot refresh.
+    """
+
+    __slots__ = ("path", "snap", "covered", "sha", "torn", "torn_row", "fh", "written")
+
+    def __init__(self, path: Path):
+        self.path = path
+        self.snap = path.with_name(path.stem + ".snap.npz")
+        self.covered = 0
+        self.sha = hashlib.sha256()
+        self.torn = b""
+        self.torn_row = False
+        self.fh = None
+        self.written = 0
+
+
 class RecordStore:
     """Append-only detection store, one newline-delimited file per camera.
 
     Pass root=None for a memory-only store (tests, throwaway pipelines).
     Single-writer append; reads take per-camera snapshots at ingest
     boundaries, so a store handle may move between threads as long as only
-    one of them writes.
+    one of them writes. A disk store's writer holds the store's lock from
+    its first append until close().
     """
 
     def __init__(self, root: str | Path | None = None):
         self.root = Path(root) if root is not None else None
         self._logs: dict[int, _CameraLog] = {}
-        self._files: dict[int, object] = {}
+        self._files: dict[int, _CameraFile] = {}
+        self._lock = None  # the open lock file while this handle is the writer
         if self.root is not None:
             try:
                 self.root.mkdir(parents=True, exist_ok=True)
@@ -281,31 +423,137 @@ class RecordStore:
     def _load(self) -> None:
         assert self.root is not None
         for path in sorted(self.root.glob("camera_*.jsonl")):
-            camera_id = int(path.stem.split("_", 1)[1])
-            log = self._logs.setdefault(camera_id, _CameraLog())
-            append_row = log.append_row
-            with path.open("r", encoding="utf-8") as fh:
-                for lineno, line in enumerate(fh, start=1):
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        fields = _parse_fields(line)
-                    except (MalformedLine, InvalidTimestamp, InvalidBBox) as exc:
-                        raise MalformedLine(f"{path}:{lineno}: {exc}") from exc
-                    append_row(fields[0], fields[2], fields[8], fields[7],
-                               fields[3], fields[4], fields[5], fields[6],
-                               fields[9], fields[10])
-
-    def _file(self, camera_id: int):
-        fh = self._files.get(camera_id)
-        if fh is None:
             try:
-                fh = self._camera_path(camera_id).open("a", encoding="utf-8")
-            except OSError as exc:
-                raise StoreUnwritable(f"cannot append to store at {self.root}: {exc}") from exc
-            self._files[camera_id] = fh
-        return fh
+                camera_id = int(path.stem.split("_", 1)[1])
+            except ValueError:
+                camera_id = 0
+            if camera_id <= 0 or path.name != self._camera_path(camera_id).name:
+                logger.warning("ignoring %s: not a camera file name", path)
+                continue
+            self._load_camera(camera_id)
+
+    def _load_camera(self, camera_id: int) -> _CameraFile:
+        """Read one camera's file into a fresh log: snapshot rows, then the lines past it."""
+        f = _CameraFile(self._camera_path(camera_id))
+        log = _CameraLog()
+        self._files[camera_id] = f
+        self._logs[camera_id] = log
+        try:
+            fh = f.path.open("rb")
+        except FileNotFoundError:
+            return f
+        with fh:
+            snap = _read_snapshot(f.snap)
+            if snap is not None and snap.covered <= os.fstat(fh.fileno()).st_size:
+                _hash_next(fh, snap.covered, f.sha)
+                if f.sha.digest() == snap.digest:
+                    log.load_snapshot(snap)
+                    f.covered = snap.covered
+                else:
+                    f.sha = hashlib.sha256()
+                    fh.seek(0)
+            from_snapshot = f.covered
+            lineno = 0  # past the snapshot; error messages add the lines before it
+            append_fields = log.append_fields
+            for raw in fh:
+                lineno += 1
+                if not raw.endswith(b"\n"):  # only the last line can lack one
+                    f.torn = raw
+                    break
+                f.sha.update(raw)
+                f.covered += len(raw)
+                try:
+                    fields = _parse_stored(raw)
+                except _LINE_ERRORS as exc:
+                    lineno += _lines_before(f.path, from_snapshot)
+                    raise MalformedLine(f"{f.path}:{lineno}: {exc}") from exc
+                if fields is not None:
+                    append_fields(fields)
+        if f.torn:
+            try:
+                fields = _parse_stored(f.torn)
+            except _LINE_ERRORS as exc:
+                lineno += _lines_before(f.path, from_snapshot)
+                logger.warning("%s:%d: ignoring a torn last line: %s", f.path, lineno, exc)
+            else:
+                if fields is not None:
+                    log.append_fields(fields)
+                    f.torn_row = True
+        if f.covered > from_snapshot:
+            self._save_snapshot(f, log, len(log) - f.torn_row)
+        return f
+
+    def _save_snapshot(self, f: _CameraFile, log: _CameraLog, rows: int) -> None:
+        """Best effort: snapshot the log's first rows, which the file's first f.covered bytes hold."""
+        extras = [[row, feature, batch_id] for row, (feature, batch_id) in sorted(log.extras.items()) if row < rows]
+        arrays = {name: np.frombuffer(getattr(log, name), dtype=_DTYPES[code])[:rows] for name, code in _COLUMNS}
+        tmp = None
+        try:
+            with tempfile.NamedTemporaryFile(dir=f.path.parent, prefix=f".{f.snap.name}.", delete=False) as tmp:
+                os.fchmod(tmp.fileno(), f.path.stat().st_mode & 0o777)  # readable by whoever reads the file
+                np.savez(tmp, covered=np.int64(f.covered),
+                         sha256=np.frombuffer(f.sha.digest(), dtype=np.uint8),
+                         extras=np.frombuffer(json.dumps(extras).encode(), dtype=np.uint8), **arrays)
+            os.replace(tmp.name, f.snap)
+        except OSError as exc:
+            # log the text only: a kept traceback would pin the views above and block appends
+            logger.warning("could not write snapshot %s: %s", f.snap, str(exc))
+            if tmp is not None:
+                try:
+                    os.unlink(tmp.name)
+                except OSError:
+                    pass
+
+    def _acquire_lock(self) -> None:
+        if self._lock is not None:
+            return
+        try:
+            lock = open(self.root / ".lock", "ab")
+        except OSError as exc:
+            raise StoreUnwritable(f"cannot create the writer lock of {self.root}: {exc}") from exc
+        try:
+            fcntl.flock(lock.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            lock.close()
+            raise StoreLocked(f"store {self.root} is being written by another handle") from None
+        except OSError as exc:
+            lock.close()
+            raise StoreUnwritable(f"cannot lock store {self.root}: {exc}") from exc
+        self._lock = lock
+
+    def _writer(self, camera_id: int) -> _CameraFile:
+        """The camera's file, open for append under the writer lock."""
+        f = self._files.get(camera_id)
+        if f is not None and f.fh is not None:
+            return f
+        self._acquire_lock()
+        try:
+            size = self._camera_path(camera_id).stat().st_size
+        except FileNotFoundError:
+            size = 0
+        if f is None or f.written or size != f.covered + len(f.torn):
+            # new to this handle, or changed since this handle read it
+            f = self._load_camera(camera_id)
+        try:
+            f.fh = f.path.open("a", encoding="utf-8")
+            if f.torn:
+                self._mend_torn(f)
+        except OSError as exc:
+            raise StoreUnwritable(f"cannot append to store at {self.root}: {exc}") from exc
+        return f
+
+    def _mend_torn(self, f: _CameraFile) -> None:
+        """End the file's unterminated last line, or cut it off if it holds no record."""
+        if f.torn_row:
+            f.fh.write("\n")
+            f.sha.update(f.torn + b"\n")
+            f.covered += len(f.torn) + 1
+            logger.warning("%s: ended an unterminated last line", f.path)
+        else:
+            f.fh.truncate(f.covered)
+            logger.warning("%s: cut off a torn last line that holds no record", f.path)
+        f.torn = b""
+        f.torn_row = False
 
     def append(self, rec: DetectionRecord, raw_line: str | None = None) -> None:
         """Append one validated record; the raw line is persisted verbatim."""
@@ -318,25 +566,51 @@ class RecordStore:
     def _append_fields(self, fields: tuple, line: str) -> None:
         camera_id = fields[1]
         if self.root is not None:
+            f = self._writer(camera_id)
             try:
-                self._file(camera_id).write(line + "\n")
+                f.fh.write(line + "\n")
             except OSError as exc:
                 raise StoreUnwritable(f"write failed for camera {camera_id}: {exc}") from exc
+            f.written += len(line) + 1 if line.isascii() else len((line + "\n").encode("utf-8"))
         log = self._logs.get(camera_id)
         if log is None:
             log = self._logs.setdefault(camera_id, _CameraLog())
-        log.append_row(fields[0], fields[2], fields[8], fields[7],
-                       fields[3], fields[4], fields[5], fields[6],
-                       fields[9], fields[10])
+        log.append_fields(fields)
 
     def flush(self) -> None:
-        for fh in self._files.values():
-            fh.flush()
+        for f in self._files.values():
+            if f.fh is not None:
+                f.fh.flush()
 
     def close(self) -> None:
-        for fh in self._files.values():
-            fh.close()
-        self._files.clear()
+        """Close the append files, refresh their snapshots, and release the writer lock."""
+        try:
+            for camera_id, f in self._files.items():
+                if f.fh is not None:
+                    f.fh.close()
+                    f.fh = None
+                    self._refresh_snapshot(f, self._logs[camera_id])
+        finally:
+            if self._lock is not None:
+                self._lock.close()
+                self._lock = None
+
+    def _refresh_snapshot(self, f: _CameraFile, log: _CameraLog) -> None:
+        """Stamp a new snapshot with the bytes parsed plus the bytes written, if the file has exactly those."""
+        covered = f.covered + f.written
+        sha = f.sha.copy()
+        try:
+            with f.path.open("rb") as fh:
+                if os.fstat(fh.fileno()).st_size != covered:
+                    logger.warning("%s: changed by another writer; its snapshot is left stale", f.path)
+                    return
+                fh.seek(f.covered)
+                _hash_next(fh, f.written, sha)
+        except OSError as exc:
+            logger.warning("could not read %s back for its snapshot: %s", f.path, exc)
+            return
+        f.covered, f.sha, f.written = covered, sha, 0
+        self._save_snapshot(f, log, len(log))
 
     def __enter__(self) -> "RecordStore":
         return self
@@ -345,7 +619,7 @@ class RecordStore:
         self.close()
 
     def __len__(self) -> int:
-        return sum(len(log.times) for log in self._logs.values())
+        return sum(len(log) for log in self._logs.values())
 
     def camera_ids(self) -> list[int]:
         return sorted(self._logs)
@@ -402,7 +676,7 @@ def ingest_stream(source: Iterable[str], store: RecordStore) -> IngestReport:
             continue
         try:
             fields = _parse_fields(line)
-        except (MalformedLine, InvalidTimestamp, InvalidBBox) as exc:
+        except _LINE_ERRORS as exc:
             report.rejected += 1
             logger.warning("rejected line %d: %s", lineno, exc)
             continue

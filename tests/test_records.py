@@ -74,6 +74,28 @@ class TestParseRecord:
         with pytest.raises(MalformedLine):
             parse_record(make_line(**{field: value}))
 
+    @pytest.mark.parametrize("bbox", [
+        "[NaN,20,50,100]", "[10,20,Infinity,100]", "[10,-Infinity,50,100]", "[10,20,50,1e400]",
+        "[true,20,50,100]", "[10,20,50,false]", f"[10,20,{10**400},100]",
+    ])
+    def test_non_finite_or_boolean_bbox(self, bbox):
+        line = make_line().replace('"bbox":[10,20,50,100]', f'"bbox":{bbox}')
+        with pytest.raises(MalformedLine):
+            parse_record(line)
+
+    @pytest.mark.parametrize("field", ["camera_id", "class_id", "local_id", "global_id"])
+    def test_ids_beyond_int64(self, field):
+        assert parse_record(make_line(**{field: 2**63 - 1}))
+        with pytest.raises(MalformedLine):
+            parse_record(make_line(**{field: 2**63}))
+
+    def test_out_of_range_id_never_reaches_the_store(self, tmp_path):
+        store = RecordStore(tmp_path / "store")
+        report = ingest_stream([make_line(global_id=2**64), make_line()], store)
+        store.close()
+        assert (report.accepted, report.rejected) == (1, 1)
+        assert len(RecordStore(tmp_path / "store")) == 1
+
     def test_feature_passthrough(self):
         rec = parse_record(make_line(feature="AAAA//BBBB=="))
         assert rec.feature == "AAAA//BBBB=="
