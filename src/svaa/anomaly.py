@@ -6,20 +6,22 @@ zero windows never touch the moments, since empty windows dominate raw
 streams and would drag the mean toward zero. A count is flagged when it
 exceeds the bucket mean by more than two sample standard deviations, one
 sided: only surges are anomalies.
+
+The buckets are occupancy's bucket frame: the same default replay range,
+the same hour_of_day * 2 + weekend_or_holiday slot rule and the same 48
+keys per camera, so both replays read the same counts in the same buckets.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
 from typing import Iterator
 
-import numpy as np
-
-from .occupancy import BucketKey, DayClass
+from .occupancy import BucketKey, bucket_keys, bucket_slot, replay_span
 from .records import RecordStore, window_count_series
-from .timeutil import US_PER_DAY, US_PER_HOUR, WINDOW_US, from_us, to_us, window_start
+from .timeutil import from_us
 
 DEFAULT_MIN_SAMPLES = 30  # nonzero samples required before flagging
 
@@ -44,6 +46,19 @@ class MomentAccumulator:
         if self.n < 2:
             return 0.0
         return math.sqrt(max(self.m2, 0.0) / (self.n - 1))
+
+    def check(self, count: int, min_samples: int = DEFAULT_MIN_SAMPLES) -> AnomalyVerdict:
+        """Evaluate a count against these moments before it is absorbed.
+
+        Flags when count > mean + 2*std with enough history; a constant
+        history (std 0) therefore flags any count strictly above its mean.
+        The z-score is reported as 0 when std is 0.
+        """
+        std = self.std
+        insufficient = self.n < min_samples
+        z = (count - self.mean) / std if std > 0 else 0.0
+        flagged = not insufficient and count > self.mean + 2.0 * std
+        return AnomalyVerdict(flagged, z, self.mean, std, self.n, insufficient)
 
 
 @dataclass(frozen=True, slots=True)
@@ -78,20 +93,9 @@ class AnomalyStats:
         self.bucket(key).add(count)
 
     def check(self, key: BucketKey, count: int, min_samples: int = DEFAULT_MIN_SAMPLES) -> AnomalyVerdict:
-        """Evaluate a count against the bucket's stats before absorbing it.
-
-        Flags when count > mean + 2*std with enough history; a constant
-        history (std 0) therefore flags any count strictly above its mean.
-        The z-score is reported as 0 when std is 0.
-        """
+        """Evaluate a count against the bucket's stats before absorbing it (see MomentAccumulator.check)."""
         acc = self._buckets.get(key)
-        n = acc.n if acc is not None else 0
-        mean = acc.mean if acc is not None else 0.0
-        std = acc.std if acc is not None else 0.0
-        insufficient = n < min_samples
-        z = (count - mean) / std if std > 0 else 0.0
-        flagged = not insufficient and count > mean + 2.0 * std
-        return AnomalyVerdict(flagged, z, mean, std, n, insufficient)
+        return (acc if acc is not None else MomentAccumulator()).check(count, min_samples)
 
 
 @dataclass(frozen=True, slots=True)
@@ -111,7 +115,6 @@ def replay(
     t0: datetime | None = None,
     t1: datetime | None = None,
     min_samples: int = DEFAULT_MIN_SAMPLES,
-    stats: AnomalyStats | None = None,
 ) -> Iterator[AnomalyObservation]:
     """Check every 5-second window of one camera in time order.
 
@@ -119,45 +122,15 @@ def replay(
     far, then (if nonzero) absorbed into them. Bounds default to the
     camera's data extent.
     """
-    bounds = store.time_bounds(camera_id)
-    if bounds is None and (t0 is None or t1 is None):
+    span = replay_span(store, camera_id, t0, t1)
+    if span is None:
         return
-    t0_us = to_us(t0) if t0 is not None else window_start(bounds[0])
-    t1_us = to_us(t1) if t1 is not None else window_start(bounds[1]) + WINDOW_US
-    starts, counts = window_count_series(store, camera_id, t0_us, t1_us)
-    if stats is None:
-        stats = AnomalyStats()
-
-    days = starts // US_PER_DAY
-    hours = (starts % US_PER_DAY) // US_PER_HOUR
-    weekendish = (days + 3) % 7 >= 5
-    if holidays:
-        weekendish |= np.isin(days, np.fromiter(holidays, dtype=np.int64))
-
-    cache: dict[tuple[int, bool], tuple[BucketKey, MomentAccumulator]] = {}
-    for hod in range(24):
-        for flag in (False, True):
-            day_class = DayClass.WEEKEND_OR_HOLIDAY if flag else DayClass.WEEKDAY
-            key = BucketKey(camera_id, hod, day_class)
-            cache[(hod, flag)] = (key, stats.bucket(key))
-
-    hour_list = hours.tolist()
-    flag_list = weekendish.tolist()
-    start_list = starts.tolist()
-    for i, count in enumerate(counts.tolist()):
-        key, acc = cache[(hour_list[i], flag_list[i])]
-        n = acc.n
-        mean = acc.mean
-        std = acc.std
-        insufficient = n < min_samples
-        z = (count - mean) / std if std > 0 else 0.0
-        flagged = not insufficient and count > mean + 2.0 * std
+    starts, counts = window_count_series(store, camera_id, *span)
+    keys = bucket_keys(camera_id)
+    moments = [MomentAccumulator() for _ in keys]
+    for start, slot, count in zip(starts.tolist(), bucket_slot(starts, holidays).tolist(), counts.tolist()):
+        acc = moments[slot]
+        verdict = acc.check(count, min_samples)
         if count > 0:
             acc.add(count)
-        yield AnomalyObservation(
-            camera_id,
-            from_us(start_list[i]),
-            count,
-            AnomalyVerdict(flagged, z, mean, std, n, insufficient),
-            key,
-        )
+        yield AnomalyObservation(camera_id, from_us(start), count, verdict, keys[slot])

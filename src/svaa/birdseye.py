@@ -12,12 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import date, datetime
-from typing import Iterable
 
 import numpy as np
 
 from .errors import CameraMismatch, InvalidBBox, InvalidConfig
-from .records import HUMAN_CLASS, DetectionRecord, RecordStore
+from .records import HUMAN_CLASS, DetectionRecord, RecordStore, distinct_pairs
 from .timeutil import (
     US_PER_DAY,
     WINDOW_US,
@@ -77,10 +76,10 @@ def scale_factor(normalized_h: float, cam: CameraConfig) -> float:
     return math.tan(cam.theta_mid_rad) / max(normalized_h, MIN_NORMALIZED_H)
 
 
-def _project(cx_frac, normalized_h, cam: CameraConfig):
-    """Shared projection kernel; accepts scalars or numpy arrays."""
-    depth = math.tan(cam.theta_mid_rad) / np.maximum(normalized_h, MIN_NORMALIZED_H)
-    return (cx_frac - 0.5) * depth, depth
+def _project(x, w, h, cam: CameraConfig):
+    """Shared projection kernel for a box's x, w and h in pixels; accepts scalars or numpy arrays."""
+    depth = math.tan(cam.theta_mid_rad) / np.maximum(h / cam.height, MIN_NORMALIZED_H)
+    return ((x + w / 2.0) / cam.width - 0.5) * depth, depth
 
 
 def bev_transform(record: DetectionRecord, cam: CameraConfig) -> BevPoint:
@@ -90,8 +89,7 @@ def bev_transform(record: DetectionRecord, cam: CameraConfig) -> BevPoint:
     b = record.bbox
     if b.w <= 0 or b.h <= 0 or b.x < 0 or b.y < 0 or b.x + b.w > cam.width or b.y + b.h > cam.height:
         raise InvalidBBox(f"bbox {b} does not fit a {cam.width}x{cam.height} frame")
-    cx_frac = (b.x + b.w / 2.0) / cam.width
-    bev_x, bev_y = _project(cx_frac, b.h / cam.height, cam)
+    bev_x, bev_y = _project(b.x, b.w, b.h, cam)
     return BevPoint(
         global_id=record.global_id,
         window_start=from_us(window_start(record.time_us)),
@@ -115,23 +113,19 @@ def _averaged_points(
     times = idx.times[lo:hi][mask]
     gids = idx.global_ids[lo:hi][mask]
     win = times // WINDOW_US
-    order = np.lexsort((gids, win))
+    order, first = distinct_pairs(win, gids)
     win, gids = win[order], gids[order]
     boxes = np.stack(
         [idx.x[lo:hi][mask][order], idx.y[lo:hi][mask][order], idx.w[lo:hi][mask][order], idx.h[lo:hi][mask][order]],
         axis=1,
     )
-    first = np.empty(len(win), dtype=bool)
-    first[0] = True
-    first[1:] = (win[1:] != win[:-1]) | (gids[1:] != gids[:-1])
     group = np.cumsum(first) - 1
     n_groups = int(group[-1]) + 1
     sums = np.zeros((n_groups, 4))
     np.add.at(sums, group, boxes)
     tallies = np.bincount(group, minlength=n_groups)
     means = sums / tallies[:, None]
-    cx_frac = (means[:, 0] + means[:, 2] / 2.0) / cam.width
-    bev_x, bev_y = _project(cx_frac, means[:, 3] / cam.height, cam)
+    bev_x, bev_y = _project(means[:, 0], means[:, 2], means[:, 3], cam)
     win_first = win[first] * WINDOW_US
     gid_first = gids[first]
     return [

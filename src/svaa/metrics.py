@@ -10,12 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
-from typing import Iterable
 
 import numpy as np
 
 from .errors import InvertedRange, UnknownCamera, UnknownLocation
-from .records import HUMAN_CLASS, RecordStore, iter_class0
+from .records import HUMAN_CLASS, RecordStore, distinct_pairs, iter_class0
 from .timeutil import US_PER_HOUR, floor_to, from_us, to_us
 
 # camera_id -> location label ("" for none); total over configured cameras
@@ -67,6 +66,13 @@ def current_count(store: RecordStore, now: datetime, staleness: timedelta) -> in
     return len(seen)
 
 
+def _human_rows(store: RecordStore, cameras: list[int], t0_us: int, t1_us: int) -> tuple[np.ndarray, np.ndarray]:
+    """(times_us, global_ids) of the cameras' human-class records in [t0, t1), camera after camera."""
+    parts = [iter_class0(store, cid, t0_us, t1_us) for cid in cameras]
+    empty = np.empty(0, dtype=np.int64)
+    return np.concatenate([empty, *(t for t, _ in parts)]), np.concatenate([empty, *(g for _, g in parts)])
+
+
 def _hour_cells(
     store: RecordStore,
     cameras: list[int],
@@ -77,26 +83,10 @@ def _hour_cells(
     lo_hour = -(-t0_us // US_PER_HOUR)  # ceil: first fully covered hour
     hi_hour = t1_us // US_PER_HOUR
     n = max(hi_hour - lo_hour, 0)
-    counts = np.zeros(n, dtype=np.int64)
-    if n == 0:
-        return lo_hour, hi_hour, counts
-    hour_parts = []
-    gid_parts = []
-    for cid in cameras:
-        times, gids = iter_class0(store, cid, lo_hour * US_PER_HOUR, hi_hour * US_PER_HOUR)
-        if len(times):
-            hour_parts.append(times // US_PER_HOUR - lo_hour)
-            gid_parts.append(gids)
-    if not hour_parts:
-        return lo_hour, hi_hour, counts
-    hour = np.concatenate(hour_parts)
-    gid = np.concatenate(gid_parts)
-    order = np.lexsort((gid, hour))
-    hour, gid = hour[order], gid[order]
-    first = np.empty(len(hour), dtype=bool)
-    first[0] = True
-    first[1:] = (hour[1:] != hour[:-1]) | (gid[1:] != gid[:-1])
-    counts = np.bincount(hour[first], minlength=n).astype(np.int64)
+    times, gids = _human_rows(store, cameras, lo_hour * US_PER_HOUR, hi_hour * US_PER_HOUR)
+    hour = times // US_PER_HOUR - lo_hour
+    order, first = distinct_pairs(hour, gids)
+    counts = np.bincount(hour[order][first], minlength=n).astype(np.int64)
     return lo_hour, hi_hour, counts
 
 
@@ -152,22 +142,12 @@ def total_over_time(
     t0_us = floor_to(t0_us, bucket_us)
     t1_us = floor_to(t1_us, bucket_us)
     n = (t1_us - t0_us) // bucket_us
-    time_parts = []
-    gid_parts = []
-    for cid in store.camera_ids():
-        times, gids = iter_class0(store, cid, t0_us, t1_us)
-        if len(times):
-            time_parts.append(times)
-            gid_parts.append(gids)
-    cumulative = np.zeros(n, dtype=np.int64)
-    if time_parts:
-        times = np.concatenate(time_parts)
-        gids = np.concatenate(gid_parts)
-        order = np.argsort(times, kind="stable")
-        times, gids = times[order], gids[order]
-        _, first_pos = np.unique(gids, return_index=True)
-        first_bucket = (times[first_pos] - t0_us) // bucket_us
-        cumulative = np.cumsum(np.bincount(first_bucket, minlength=n)).astype(np.int64)
+    times, gids = _human_rows(store, store.camera_ids(), t0_us, t1_us)
+    order = np.argsort(times, kind="stable")
+    times, gids = times[order], gids[order]
+    _, first_pos = np.unique(gids, return_index=True)
+    first_bucket = (times[first_pos] - t0_us) // bucket_us
+    cumulative = np.cumsum(np.bincount(first_bucket, minlength=n)).astype(np.int64)
     return [
         (from_us(t0_us + i * bucket_us), int(cumulative[i]))
         for i in range(n)

@@ -5,6 +5,11 @@ Each camera keeps one bounded FIFO history of interval counts per
 HIGH against that bucket's 25th and 75th nearest-rank percentiles, computed
 before the count itself is inserted. Zeros are retained in these histories
 (the zero-exclusion rule applies only to anomaly statistics).
+
+This module also owns the bucket frame that the anomaly replay reads the
+same counts through: the default replay range (`replay_span`), the bucket
+rule hour_of_day * 2 + weekend_or_holiday (`bucket_slot`) and the table of
+a camera's 48 bucket keys in slot order (`bucket_keys`).
 """
 
 from __future__ import annotations
@@ -21,15 +26,7 @@ import numpy as np
 
 from .errors import EmptyHistory
 from .records import RecordStore, window_count_series
-from .timeutil import (
-    US_PER_DAY,
-    US_PER_HOUR,
-    WINDOW_US,
-    from_us,
-    is_weekend,
-    to_us,
-    window_start,
-)
+from .timeutil import WINDOW_US, epoch_day, from_us, hour_of_day, is_weekend, to_us, window_start
 
 DEFAULT_MIN_SAMPLES = 20  # below this a bucket classifies as UNKNOWN
 DEFAULT_CAPACITY = 10_080  # ~14 days of one hour-slot at 720 windows/hour
@@ -57,12 +54,48 @@ class BucketKey:
         return f"camera={self.camera_id} hour={self.hour_of_day:02d} {self.day_class.value}"
 
 
+def bucket_slot(us, holidays: frozenset[int] = frozenset()):
+    """Bucket slot hour_of_day * 2 + weekend_or_holiday of epoch microseconds.
+
+    Takes one timestamp or an int64 array of them; slot s is the key
+    bucket_keys(camera_id)[s].
+    """
+    days = epoch_day(us)
+    weekendish = is_weekend(days)
+    if holidays:
+        weekendish = weekendish | np.isin(days, np.fromiter(holidays, dtype=np.int64))
+    return hour_of_day(us) * 2 + weekendish
+
+
+def bucket_keys(camera_id: int) -> list[BucketKey]:
+    """The camera's 48 bucket keys, indexed by bucket slot."""
+    return [
+        BucketKey(camera_id, slot // 2, DayClass.WEEKEND_OR_HOLIDAY if slot % 2 else DayClass.WEEKDAY)
+        for slot in range(48)
+    ]
+
+
 def bucket_key_for(camera_id: int, us: int, holidays: frozenset[int] = frozenset()) -> BucketKey:
     """Bucket for a timestamp: hour of day plus weekday/weekend-or-holiday split."""
-    day = us // US_PER_DAY
-    weekend = is_weekend(day) or day in holidays
-    day_class = DayClass.WEEKEND_OR_HOLIDAY if weekend else DayClass.WEEKDAY
-    return BucketKey(camera_id, (us % US_PER_DAY) // US_PER_HOUR, day_class)
+    return bucket_keys(camera_id)[int(bucket_slot(us, holidays))]
+
+
+def replay_span(
+    store: RecordStore,
+    camera_id: int,
+    t0: datetime | None,
+    t1: datetime | None,
+) -> tuple[int, int] | None:
+    """A replay's [t0, t1) in epoch microseconds; None when there is nothing to replay.
+
+    A missing bound defaults to the camera's data extent on the window grid.
+    """
+    bounds = store.time_bounds(camera_id)
+    if bounds is None and (t0 is None or t1 is None):
+        return None
+    t0_us = to_us(t0) if t0 is not None else window_start(bounds[0])
+    t1_us = to_us(t1) if t1 is not None else window_start(bounds[1]) + WINDOW_US
+    return t0_us, t1_us
 
 
 def _nearest_rank(p: float, n: int) -> int:
@@ -77,25 +110,10 @@ def _nearest_rank(p: float, n: int) -> int:
 def percentile_nearest_rank(values: Iterable[int], p: float) -> int:
     """Value at the nearest-rank percentile of a multiset of nonnegative ints.
 
-    Selection runs over a value histogram (counting sort), falling back to
-    partial selection for very large values; either way the result is the
-    element at rank ceil(p/100*n) of the ascending sort, exactly.
+    The element at rank ceil(p/100*n) of the ascending sort, exactly, found
+    by the same histogram walk the replay's bucket histories use.
     """
-    if isinstance(values, np.ndarray):
-        arr = values.astype(np.int64, copy=False)
-    else:
-        arr = np.fromiter(values, dtype=np.int64)
-    n = arr.size
-    if n == 0:
-        raise EmptyHistory("percentile of an empty history")
-    if arr.min() < 0:
-        raise ValueError("history values must be nonnegative")
-    rank = _nearest_rank(p, n)
-    vmax = int(arr.max())
-    if vmax <= 1 << 20:
-        cumulative = np.cumsum(np.bincount(arr, minlength=vmax + 1))
-        return int(np.searchsorted(cumulative, rank, side="left"))
-    return int(np.partition(arr, rank - 1)[rank - 1])
+    return _loaded(values).percentile(p)
 
 
 class BucketSamples:
@@ -135,8 +153,6 @@ class BucketSamples:
         return list(self._fifo)
 
     def percentile(self, p: float) -> int:
-        if not self._fifo:
-            raise EmptyHistory("percentile of an empty bucket")
         return self.percentile_pair(p, p)[0]
 
     def percentile_pair(self, p_lo: float, p_hi: float) -> tuple[int, int]:
@@ -157,29 +173,13 @@ class BucketSamples:
         raise AssertionError("rank exceeds multiset size")
 
 
-class OccupancyHistory:
-    """Per-bucket FIFO histories for one store's cameras."""
-
-    def __init__(self, capacity: int = DEFAULT_CAPACITY):
-        self.capacity = capacity
-        self._buckets: dict[BucketKey, BucketSamples] = {}
-
-    def bucket(self, key: BucketKey) -> BucketSamples:
-        samples = self._buckets.get(key)
-        if samples is None:
-            samples = BucketSamples(self.capacity)
-            self._buckets[key] = samples
-        return samples
-
-    def update(self, key: BucketKey, count: int) -> None:
-        """Append a count to the key's history; zeros are inserted too."""
-        self.bucket(key).add(count)
-
-    def __len__(self) -> int:
-        return len(self._buckets)
-
-    def __contains__(self, key: BucketKey) -> bool:
-        return key in self._buckets
+def _loaded(values: Iterable[int]) -> BucketSamples:
+    """A BucketSamples holding all of values."""
+    pool = list(values)
+    samples = BucketSamples(max(len(pool), 1))
+    for value in pool:
+        samples.add(value)
+    return samples
 
 
 @dataclass(frozen=True, slots=True)
@@ -203,16 +203,11 @@ def classify_occupancy(
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
-    if isinstance(samples, BucketSamples):
-        if len(samples) < min_samples:
-            return OccupancyLevel(Level.UNKNOWN, None, None)
-        p25, p75 = samples.percentile_pair(25, 75)
-    else:
-        pool = list(samples)
-        if len(pool) < min_samples:
-            return OccupancyLevel(Level.UNKNOWN, None, None)
-        p25 = percentile_nearest_rank(pool, 25)
-        p75 = percentile_nearest_rank(pool, 75)
+    if not isinstance(samples, BucketSamples):
+        samples = _loaded(samples)
+    if len(samples) < min_samples:
+        return OccupancyLevel(Level.UNKNOWN, None, None)
+    p25, p75 = samples.percentile_pair(25, 75)
     if count <= p25:
         level = Level.LOW
     elif count <= p75:
@@ -240,7 +235,6 @@ def replay(
     t1: datetime | None = None,
     min_samples: int = DEFAULT_MIN_SAMPLES,
     capacity: int = DEFAULT_CAPACITY,
-    history: OccupancyHistory | None = None,
 ) -> Iterator[OccupancyObservation]:
     """Classify every 5-second window of one camera in time order.
 
@@ -248,34 +242,14 @@ def replay(
     far, then appended to it, so replaying a frozen store reproduces the
     exact level sequence. Bounds default to the camera's own data extent.
     """
-    bounds = store.time_bounds(camera_id)
-    if bounds is None and (t0 is None or t1 is None):
+    span = replay_span(store, camera_id, t0, t1)
+    if span is None:
         return
-    t0_us = to_us(t0) if t0 is not None else window_start(bounds[0])
-    t1_us = to_us(t1) if t1 is not None else window_start(bounds[1]) + WINDOW_US
-    starts, counts = window_count_series(store, camera_id, t0_us, t1_us)
-    if history is None:
-        history = OccupancyHistory(capacity)
-
-    days = starts // US_PER_DAY
-    hours = (starts % US_PER_DAY) // US_PER_HOUR
-    weekendish = (days + 3) % 7 >= 5
-    if holidays:
-        weekendish |= np.isin(days, np.fromiter(holidays, dtype=np.int64))
-
-    # one (key, samples) pair per bucket, resolved outside the hot loop
-    cache: dict[tuple[int, bool], tuple[BucketKey, BucketSamples]] = {}
-    for hod in range(24):
-        for flag in (False, True):
-            day_class = DayClass.WEEKEND_OR_HOLIDAY if flag else DayClass.WEEKDAY
-            key = BucketKey(camera_id, hod, day_class)
-            cache[(hod, flag)] = (key, history.bucket(key))
-
-    hour_list = hours.tolist()
-    flag_list = weekendish.tolist()
-    start_list = starts.tolist()
-    for i, count in enumerate(counts.tolist()):
-        key, samples = cache[(hour_list[i], flag_list[i])]
+    starts, counts = window_count_series(store, camera_id, *span)
+    keys = bucket_keys(camera_id)
+    histories = [BucketSamples(capacity) for _ in keys]
+    for start, slot, count in zip(starts.tolist(), bucket_slot(starts, holidays).tolist(), counts.tolist()):
+        samples = histories[slot]
         result = classify_occupancy(count, samples, min_samples)
         samples.add(count)
-        yield OccupancyObservation(camera_id, from_us(start_list[i]), count, result, key)
+        yield OccupancyObservation(camera_id, from_us(start), count, result, keys[slot])

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from datetime import datetime
 from math import isfinite
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -723,6 +723,22 @@ def query_window(
     return [store.materialize(cid, pos) for _, cid, pos in hits]
 
 
+def distinct_pairs(major: np.ndarray, minor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sort (major, minor) pairs and mark the first of each run of equal pairs.
+
+    Returns (order, first): order sorts by major then minor, and first is a
+    mask over the sorted pairs, so major[order][first] and minor[order][first]
+    are the distinct pairs in ascending order.
+    """
+    order = np.lexsort((minor, major))
+    major, minor = major[order], minor[order]
+    first = np.empty(len(major), dtype=bool)
+    first[:1] = True
+    np.not_equal(major[1:], major[:-1], out=first[1:])
+    first[1:] |= minor[1:] != minor[:-1]
+    return order, first
+
+
 def window_count_series(
     store: RecordStore,
     camera_id: int,
@@ -741,25 +757,10 @@ def window_count_series(
     t1_us = timeutil.window_start(t1_us)
     n = (t1_us - t0_us) // WINDOW_US
     starts = t0_us + WINDOW_US * np.arange(n, dtype=np.int64)
-    counts = np.zeros(n, dtype=np.int64)
-    if n == 0:
-        return starts, counts
-    idx = store.index(camera_id)
-    lo, hi = idx.slice(t0_us, t1_us)
-    if lo == hi:
-        return starts, counts
-    mask = idx.class_ids[lo:hi] == HUMAN_CLASS
-    win = (idx.times[lo:hi][mask] - t0_us) // WINDOW_US
-    gid = idx.global_ids[lo:hi][mask]
-    if len(win) == 0:
-        return starts, counts
-    order = np.lexsort((gid, win))
-    win, gid = win[order], gid[order]
-    first = np.empty(len(win), dtype=bool)
-    first[0] = True
-    np.not_equal(win[1:], win[:-1], out=first[1:])
-    first[1:] |= gid[1:] != gid[:-1]
-    counts = np.bincount(win[first], minlength=n).astype(np.int64)
+    times, gid = iter_class0(store, camera_id, t0_us, t1_us)
+    win = (times - t0_us) // WINDOW_US
+    order, first = distinct_pairs(win, gid)
+    counts = np.bincount(win[order][first], minlength=n).astype(np.int64)
     return starts, counts
 
 

@@ -21,14 +21,12 @@ from typing import Iterator
 import numpy as np
 
 from .errors import InvalidProfile
-from .records import BoundingBox, DetectionRecord
+from .records import DetectionRecord, distinct_pairs, parse_record
 from .timeutil import (
     US_PER_DAY,
     US_PER_HOUR,
     date_to_day,
     day_to_date,
-    format_rfc3339,
-    from_us,
     is_weekend,
     to_us,
 )
@@ -225,14 +223,10 @@ def _simulate_camera(cam: CameraSim, profile: SimProfile, t0_us: int, t1_us: int
 
 
 def _tally_truth(truth: GroundTruth, camera_id: int, cols: _Columns) -> None:
-    if len(cols.time_us) == 0:
-        return
     hour_abs = cols.time_us // US_PER_HOUR
-    pairs = np.unique(np.stack((hour_abs, cols.global_id), axis=1), axis=0)
-    per_hour = {}
-    for h in pairs[:, 0].tolist():
-        per_hour[h] = per_hour.get(h, 0) + 1
-    for h, count in per_hour.items():
+    order, first = distinct_pairs(hour_abs, cols.global_id)
+    hours, counts = np.unique(hour_abs[order][first], return_counts=True)
+    for h, count in zip(hours.tolist(), counts.tolist()):
         d = day_to_date(h * US_PER_HOUR // US_PER_DAY)
         truth.counts[(camera_id, d, h % 24)] = count
 
@@ -250,35 +244,10 @@ def _generate_columns(profile: SimProfile, t0: datetime, t1: datetime) -> tuple[
     return per_camera, truth
 
 
-def _merged_order(per_camera: list[tuple[int, _Columns]]) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """Global time order over all cameras: (camera column, order, row arrays)."""
-    cam_col = np.concatenate([np.full(len(c.time_us), cid, dtype=np.int64) for cid, c in per_camera])
-    times = np.concatenate([c.time_us for _, c in per_camera])
-    gids = np.concatenate([c.global_id for _, c in per_camera])
-    order = np.lexsort((gids, cam_col, times))
-    return cam_col, order, [times, gids]
-
-
 def generate(profile: SimProfile, t0: datetime, t1: datetime) -> tuple[list[DetectionRecord], GroundTruth]:
     """Materialize the full record stream, time-sorted, plus its ground truth."""
-    per_camera, truth = _generate_columns(profile, t0, t1)
-    records: list[DetectionRecord] = []
-    rows: list[tuple] = []
-    for cid, c in per_camera:
-        for i in range(len(c.time_us)):
-            rows.append((int(c.time_us[i]), cid, int(c.global_id[i]), int(c.local_id[i]),
-                         int(c.x[i]), int(c.y[i]), int(c.w[i]), int(c.h[i])))
-    rows.sort()
-    for t, cid, gid, lid, x, y, w, h in rows:
-        records.append(DetectionRecord(
-            record_time=from_us(t),
-            camera_id=cid,
-            class_id=0,
-            bbox=BoundingBox(x, y, w, h),
-            local_id=lid,
-            global_id=gid,
-        ))
-    return records, truth
+    lines, truth = generate_lines(profile, t0, t1)
+    return [parse_record(line) for line in lines], truth
 
 
 def generate_lines(profile: SimProfile, t0: datetime, t1: datetime) -> tuple[Iterator[str], GroundTruth]:
@@ -288,7 +257,10 @@ def generate_lines(profile: SimProfile, t0: datetime, t1: datetime) -> tuple[Ite
     def lines() -> Iterator[str]:
         if not per_camera:
             return
-        cam_col, order, (times, gids) = _merged_order(per_camera)
+        cam_col = np.concatenate([np.full(len(c.time_us), cid, dtype=np.int64) for cid, c in per_camera])
+        times = np.concatenate([c.time_us for _, c in per_camera])
+        gids = np.concatenate([c.global_id for _, c in per_camera])
+        order = np.lexsort((gids, cam_col, times))
         lids = np.concatenate([c.local_id for _, c in per_camera])
         xs = np.concatenate([c.x for _, c in per_camera])
         ys = np.concatenate([c.y for _, c in per_camera])

@@ -7,6 +7,7 @@ the epoch, so bucketing is reproducible regardless of data arrival.
 
 from __future__ import annotations
 
+import re
 from datetime import date, datetime, timedelta, timezone
 
 from .errors import InvalidTimestamp
@@ -35,14 +36,24 @@ def from_us(us: int) -> datetime:
     return EPOCH + timedelta(microseconds=int(us))
 
 
+# YYYY-MM-DD[Tt ]HH:MM:SS[.digits][Z|z|+HH:MM|-HH:MM]. The calendar and clock
+# ranges are left to fromisoformat, which alone would also take a bare date,
+# the basic and week-date forms, truncated times and offsets without a colon.
+_RFC3339 = re.compile(r"\d{4}-\d\d-\d\d[Tt ]\d\d:\d\d:\d\d(?:\.\d+)?(?:[Zz]|[+-]\d\d:\d\d)?", re.ASCII)
+
+
 def parse_rfc3339(text: str) -> int:
     """Parse an RFC 3339 timestamp to epoch microseconds.
 
-    Accepts 'Z' or numeric offsets; a naive timestamp is interpreted as UTC.
+    Accepts 'Z' or numeric +HH:MM/-HH:MM offsets and any number of
+    fractional-second digits after a '.'; a naive timestamp is interpreted
+    as UTC. Anything else, such as a bare date, is an InvalidTimestamp.
     """
     if not isinstance(text, str):
         raise InvalidTimestamp(f"timestamp must be a string, got {type(text).__name__}")
     cleaned = text.strip()
+    if not _RFC3339.fullmatch(cleaned):
+        raise InvalidTimestamp(f"not an RFC 3339 timestamp {text!r}")
     if cleaned.endswith(("Z", "z")):
         cleaned = cleaned[:-1] + "+00:00"
     try:

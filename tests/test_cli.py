@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import shutil
 from datetime import datetime
 
+import numpy as np
 import pytest
 
 from svaa import cli, synth
@@ -123,6 +125,43 @@ def reference(built, tmp_path):
     store, ref = built
     shutil.copytree(store, tmp_path / "ref")
     return tmp_path / "ref", ref
+
+
+# SHA-256 of every output of `built`, so that a refactor of the analytics
+# must keep every byte. The stream comes from numpy's seeded generator,
+# which numpy does not promise to keep across releases; re-pin only after
+# checking the outputs themselves.
+GOLDEN_OUTPUTS = {
+    "current": "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+    "current_at": "10159baf262b43a92d95db59dae1f72c645127301661e0a3ce4e38b295a97c58",
+    "hourly_all": "af5b7043297b9be198540ebedfc59d6e7d6238379fcf61af9cff92fc0eee78c0",
+    "hourly_north": "cfcdb24fbb05b4af5efeeeb83c4f17edfaab984aa33e8ee8191883dbb1986b63",
+    "hourly_cam3": "f8aba417edb675d13fa448490d144bafe4b23b8971aff5c9edca6fbc6c7a66d1",
+    "peaks_all": "94d840b128101b17bac218129320a9c28cf64f5fd7576f1969f140a2e37689b5",
+    "total": "4d7bd6a9524eeb3729600e16e0e12b8dea5807378fd3c0ccc777f9d972ed8b9b",
+    "occupancy_at": "3d504769c2cefe565ba58b99b300e3020c90566f526ebe8ecd28ad4d3d3aec5f",
+    "occupancy_live": "0400d6bcb4bd20b02e70af39953867ade9928ac591efd98e85136f2d235510d2",
+    "anomaly": "43c19fd4e74d163a7bd003b28c37b7deee4a48962a90bb05dce75f3522715e9f",
+    "bev": "380b4b2f81d100f5f2559e06f1d38d326980abdf495e7832ee298faf522fd42c",
+    "heatmap_pgm": "09211c66a1a03e4b2decdd5d94d523569e730d9021edd15b2cd135a2a639887e",
+    "heatmap_pgm_bytes": "a3a92fdb6bb78044bdfab3dcb2e3955d8d3b145fac558cf72d0b93293b26629e",
+    "heatmap_csv": "09211c66a1a03e4b2decdd5d94d523569e730d9021edd15b2cd135a2a639887e",
+    "heatmap_csv_bytes": "5d1d2319e2b983f6aaa0ed010cd7e470c7adc6d680925d7354b81aae9498add8",
+}
+GOLDEN_NUMPY = "2.4.6"  # numpy version the digests were taken under
+
+
+def test_golden_outputs(reference):
+    _, ref = reference
+    digests = {
+        label: hashlib.sha256(out if isinstance(out, bytes) else out.encode()).hexdigest()
+        for label, out in ref.items()
+    }
+    changed = sorted(label for label in GOLDEN_OUTPUTS if digests.get(label) != GOLDEN_OUTPUTS[label])
+    assert digests.keys() == GOLDEN_OUTPUTS.keys() and not changed, (
+        f"CLI outputs changed: {changed}; pinned under numpy {GOLDEN_NUMPY}, "
+        f"running numpy {np.__version__}"
+    )
 
 
 def test_outputs_are_not_trivial(reference):

@@ -15,7 +15,6 @@ from svaa.occupancy import (
     BucketSamples,
     DayClass,
     Level,
-    OccupancyHistory,
     bucket_key_for,
     classify_occupancy,
     percentile_nearest_rank,
@@ -110,14 +109,6 @@ class TestBucketSamples:
             for p in (25, 75):
                 assert samples.percentile(p) == sort_oracle(samples.values(), p)
 
-    def test_update_history_keys(self):
-        history = OccupancyHistory(capacity=4)
-        key = BucketKey(1, 9, DayClass.WEEKDAY)
-        for v in (1, 2, 3):
-            history.update(key, v)
-        assert key in history
-        assert history.bucket(key).values() == [1, 2, 3]
-
 
 class TestClassify:
     def test_weekend_high(self):
@@ -127,6 +118,7 @@ class TestClassify:
     def test_weekday_normal(self):
         level = classify_occupancy(2, [0, 1, 1, 2, 2, 3, 3, 4], min_samples=8)
         assert (level.level, level.p25, level.p75) == (Level.NORMAL, 1, 3)
+        assert classify_occupancy(3, [0, 1, 1, 2, 2, 3, 3, 4], min_samples=8).level == Level.NORMAL  # count == p75
 
     def test_zero_count_is_low(self):
         level = classify_occupancy(0, [1, 2, 3, 4, 5], min_samples=1)

@@ -114,6 +114,26 @@ class TestParseRecord:
         rec = parse_record(make_line(record_time="2023-10-01 00:00:05"))
         assert rec.record_time == utc(2023, 10, 1, 0, 0, 5)
 
+    @pytest.mark.parametrize("text,expected", [
+        ("2023-10-01T00:00:05", utc(2023, 10, 1, 0, 0, 5)),
+        ("2023-10-01t00:00:05z", utc(2023, 10, 1, 0, 0, 5)),
+        ("2023-10-01T01:30:05+01:30", utc(2023, 10, 1, 0, 0, 5)),
+        ("2023-09-30T23:00:05.5-01:00", utc(2023, 10, 1, 0, 0, 5, 500000)),
+    ])
+    def test_rfc3339_forms_accepted(self, text, expected):
+        assert parse_record(make_line(record_time=text)).record_time == expected
+
+    @pytest.mark.parametrize("text", [
+        "2023-10-16", "20231016T090000", "2023-W42-1T09:00:00Z", "2023-10-16T09:00Z",
+        "2023-10-16T09Z", "2023-10-16T09:00:00+0100", "2023-10-16T09:00:00,5Z",
+        "2023-10-16T09:00:00.Z", "2023-10-16X09:00:00Z", "2023-10-16T09:00:00+01",
+    ])
+    def test_non_rfc3339_rejected(self, text):
+        with pytest.raises(InvalidTimestamp):
+            parse_record(make_line(record_time=text))
+        report = ingest_stream([make_line(record_time=text), make_line()], RecordStore())
+        assert (report.accepted, report.rejected) == (1, 1)
+
     def test_format_round_trip(self):
         line = make_line(bbox=(10.5, 20, 50, 100), feature="blob", batch_id="b7")
         rec = parse_record(line)
@@ -150,6 +170,7 @@ class TestIngest:
         assert ingest_stream(lines, store).accepted == 3
         assert ingest_stream(lines, store).accepted == 3
         assert len(store) == 6
+        store.close()
 
     def test_rejects_never_abort(self, mem_store):
         lines = ["", "junk", make_line()]

@@ -182,7 +182,8 @@ class TestGroundTruth:
     def test_truth_csv_shape(self, tmp_path):
         profile = flat_profile(rate=10.0, seed=2)
         n = write_stream(profile, T0, T1, tmp_path / "r.jsonl", tmp_path / "t.csv")
-        assert n == sum(1 for _ in (tmp_path / "r.jsonl").open())
+        with (tmp_path / "r.jsonl").open() as fh:
+            assert n == sum(1 for _ in fh)
         lines = (tmp_path / "t.csv").read_text().splitlines()
         assert lines[0] == "camera_id,date,hour,count"
         assert all(len(l.split(",")) == 4 for l in lines[1:])
