@@ -16,7 +16,7 @@ from datetime import date, datetime
 import numpy as np
 
 from .errors import CameraMismatch, InvalidBBox, InvalidConfig
-from .records import HUMAN_CLASS, DetectionRecord, RecordStore, distinct_pairs
+from .records import DetectionRecord, RecordStore, distinct_pairs, human_rows
 from .timeutil import (
     US_PER_DAY,
     WINDOW_US,
@@ -105,27 +105,20 @@ def _averaged_points(
     t1_us: int,
 ) -> list[BevPoint]:
     """Per-(window, person) averaged boxes of one camera, projected once each."""
-    idx = store.index(cam.camera_id)
-    lo, hi = idx.slice(t0_us, t1_us)
-    mask = idx.class_ids[lo:hi] == HUMAN_CLASS
-    if not mask.any():
+    times, gids, x, w, h = human_rows(store, [cam.camera_id], t0_us, t1_us, ("times", "global_ids", "x", "w", "h"))
+    if not len(times):
         return []
-    times = idx.times[lo:hi][mask]
-    gids = idx.global_ids[lo:hi][mask]
     win = times // WINDOW_US
     order, first = distinct_pairs(win, gids)
     win, gids = win[order], gids[order]
-    boxes = np.stack(
-        [idx.x[lo:hi][mask][order], idx.y[lo:hi][mask][order], idx.w[lo:hi][mask][order], idx.h[lo:hi][mask][order]],
-        axis=1,
-    )
+    boxes = np.stack([x[order], w[order], h[order]], axis=1)
     group = np.cumsum(first) - 1
     n_groups = int(group[-1]) + 1
-    sums = np.zeros((n_groups, 4))
+    sums = np.zeros((n_groups, 3))
     np.add.at(sums, group, boxes)
     tallies = np.bincount(group, minlength=n_groups)
     means = sums / tallies[:, None]
-    bev_x, bev_y = _project(means[:, 0], means[:, 2], means[:, 3], cam)
+    bev_x, bev_y = _project(means[:, 0], means[:, 1], means[:, 2], cam)
     win_first = win[first] * WINDOW_US
     gid_first = gids[first]
     return [

@@ -48,37 +48,6 @@ class AppConfig:
         return frozenset(date_to_day(d) for d in self.holidays)
 
 
-def config_to_dict(config: AppConfig) -> dict:
-    return {
-        "store": config.store,
-        "holidays": [d.isoformat() for d in config.holidays],
-        "cameras": [
-            {
-                "camera_id": c.camera_id,
-                "width": c.width,
-                "height": c.height,
-                "min_teta": c.min_teta,
-                "max_teta": c.max_teta,
-                "location": c.location,
-            }
-            for c in config.cameras
-        ],
-        "occupancy": {
-            "min_samples": config.occupancy_min_samples,
-            "history_capacity": config.occupancy_capacity,
-        },
-        "anomaly": {"min_samples": config.anomaly_min_samples},
-        "heatmap": {
-            "mode": config.heatmap_mode,
-            "cols": config.heatmap_cols,
-            "rows": config.heatmap_rows,
-            "sigma": config.heatmap_sigma,
-            "gamma": config.heatmap_gamma,
-        },
-        "staleness_s": config.staleness_s,
-    }
-
-
 def config_from_dict(obj: dict) -> AppConfig:
     try:
         cameras = [
@@ -120,6 +89,3 @@ def load_config(path: str | Path) -> AppConfig:
         raise InvalidConfig(f"cannot read config {path}: {exc}") from exc
     return config_from_dict(obj)
 
-
-def save_config(config: AppConfig, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(config_to_dict(config), indent=2) + "\n", encoding="utf-8")

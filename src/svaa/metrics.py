@@ -14,7 +14,7 @@ from datetime import datetime, timedelta
 import numpy as np
 
 from .errors import InvertedRange, UnknownCamera, UnknownLocation
-from .records import HUMAN_CLASS, RecordStore, distinct_pairs, iter_class0
+from .records import RecordStore, distinct_counts, human_rows
 from .timeutil import US_PER_HOUR, floor_to, from_us, to_us
 
 # camera_id -> location label ("" for none); total over configured cameras
@@ -57,37 +57,11 @@ def current_count(store: RecordStore, now: datetime, staleness: timedelta) -> in
     hi_us = to_us(now)
     lo_us = hi_us - round(staleness.total_seconds() * 1_000_000)
     seen: set[int] = set()
-    for cid in store.camera_ids():
-        idx = store.index(cid)
-        lo = int(np.searchsorted(idx.times, lo_us, side="right"))
-        hi = int(np.searchsorted(idx.times, hi_us, side="right"))
-        mask = idx.class_ids[lo:hi] == HUMAN_CLASS
-        seen.update(idx.global_ids[lo:hi][mask].tolist())
+    for cid in store.camera_ids():  # one camera at a time keeps the id lists, and peak memory, small
+        # (lo, hi] in whole microseconds is [lo + 1, hi + 1)
+        (gids,) = human_rows(store, [cid], lo_us + 1, hi_us + 1, columns=("global_ids",))
+        seen.update(gids.tolist())
     return len(seen)
-
-
-def _human_rows(store: RecordStore, cameras: list[int], t0_us: int, t1_us: int) -> tuple[np.ndarray, np.ndarray]:
-    """(times_us, global_ids) of the cameras' human-class records in [t0, t1), camera after camera."""
-    parts = [iter_class0(store, cid, t0_us, t1_us) for cid in cameras]
-    empty = np.empty(0, dtype=np.int64)
-    return np.concatenate([empty, *(t for t, _ in parts)]), np.concatenate([empty, *(g for _, g in parts)])
-
-
-def _hour_cells(
-    store: RecordStore,
-    cameras: list[int],
-    t0_us: int,
-    t1_us: int,
-) -> tuple[int, int, np.ndarray]:
-    """Distinct counts per fully covered absolute hour: (lo_hour, hi_hour, counts)."""
-    lo_hour = -(-t0_us // US_PER_HOUR)  # ceil: first fully covered hour
-    hi_hour = t1_us // US_PER_HOUR
-    n = max(hi_hour - lo_hour, 0)
-    times, gids = _human_rows(store, cameras, lo_hour * US_PER_HOUR, hi_hour * US_PER_HOUR)
-    hour = times // US_PER_HOUR - lo_hour
-    order, first = distinct_pairs(hour, gids)
-    counts = np.bincount(hour[order][first], minlength=n).astype(np.int64)
-    return lo_hour, hi_hour, counts
 
 
 def hourly_average(
@@ -107,10 +81,13 @@ def hourly_average(
     if t0_us >= t1_us:
         raise InvertedRange(f"need t0 < t1, got {t0} .. {t1}")
     cameras = resolve_group(store, group, location_map)
-    lo_hour, hi_hour, counts = _hour_cells(store, cameras, t0_us, t1_us)
+    lo_hour = -(-t0_us // US_PER_HOUR)  # ceil: first fully covered hour
+    hi_hour = t1_us // US_PER_HOUR
     profile = HourlyProfile()
     if hi_hour <= lo_hour:
         return profile
+    times, gids = human_rows(store, cameras, lo_hour * US_PER_HOUR, hi_hour * US_PER_HOUR)
+    counts = distinct_counts(times, gids, lo_hour * US_PER_HOUR, US_PER_HOUR, hi_hour - lo_hour)
     hods = (np.arange(lo_hour, hi_hour, dtype=np.int64)) % 24
     sums = np.bincount(hods, weights=counts, minlength=24)
     cells = np.bincount(hods, minlength=24)
@@ -142,7 +119,7 @@ def total_over_time(
     t0_us = floor_to(t0_us, bucket_us)
     t1_us = floor_to(t1_us, bucket_us)
     n = (t1_us - t0_us) // bucket_us
-    times, gids = _human_rows(store, store.camera_ids(), t0_us, t1_us)
+    times, gids = human_rows(store, store.camera_ids(), t0_us, t1_us)
     order = np.argsort(times, kind="stable")
     times, gids = times[order], gids[order]
     _, first_pos = np.unique(gids, return_index=True)

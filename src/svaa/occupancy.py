@@ -145,9 +145,6 @@ class BucketSamples:
     def __len__(self) -> int:
         return len(self._fifo)
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._fifo)
-
     def values(self) -> list[int]:
         """Retained counts in insertion order."""
         return list(self._fifo)

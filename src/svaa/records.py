@@ -30,6 +30,10 @@ last line. Opening keeps it if it parses and skips it with a warning if
 not; before its first append, a writer ends such a line with a newline or,
 if it does not parse, cuts it off. A malformed line anywhere else raises
 MalformedLine with its line number.
+
+The index layout stays inside this module: `human_rows` is the only reader
+of `_CameraIndex` for the analytics, which ask it for the columns they need
+of a camera's human-class rows in a time range.
 """
 
 from __future__ import annotations
@@ -123,7 +127,8 @@ def _parse_fields(line: str) -> tuple:
     """
     try:
         obj = json.loads(line)
-    except (json.JSONDecodeError, TypeError) as exc:
+    # ValueError covers JSONDecodeError and integers past the int-to-str digit limit
+    except (ValueError, TypeError, RecursionError) as exc:
         raise MalformedLine(f"not a JSON record: {exc}") from exc
     if not isinstance(obj, dict):
         raise MalformedLine("record line must be a JSON object")
@@ -411,10 +416,6 @@ class RecordStore:
             except OSError as exc:
                 raise StoreUnwritable(f"cannot create store at {self.root}: {exc}") from exc
             self._load()
-
-    @classmethod
-    def open(cls, root: str | Path) -> "RecordStore":
-        return cls(root)
 
     def _camera_path(self, camera_id: int) -> Path:
         assert self.root is not None
@@ -739,6 +740,35 @@ def distinct_pairs(major: np.ndarray, minor: np.ndarray) -> tuple[np.ndarray, np
     return order, first
 
 
+def human_rows(
+    store: RecordStore,
+    cameras: Iterable[int],
+    t0_us: int,
+    t1_us: int,
+    columns: tuple[str, ...] = ("times", "global_ids"),
+) -> tuple[np.ndarray, ...]:
+    """The named index columns of the cameras' human-class rows in [t0, t1), camera after camera.
+
+    Column names are those of the sorted index: times, global_ids,
+    local_ids, x, y, w and h. Within a camera the rows are time-ordered.
+    """
+    empty = _empty_index()
+    parts = [[getattr(empty, name) for name in columns]]  # keeps the dtypes when no camera is asked for
+    for cid in cameras:
+        idx = store.index(cid)
+        lo, hi = idx.slice(t0_us, t1_us)
+        mask = idx.class_ids[lo:hi] == HUMAN_CLASS
+        parts.append([getattr(idx, name)[lo:hi][mask] for name in columns])
+    return tuple(np.concatenate(column) for column in zip(*parts))
+
+
+def distinct_counts(times: np.ndarray, gids: np.ndarray, t0_us: int, width_us: int, n: int) -> np.ndarray:
+    """Distinct global ids in each of n buckets of width_us from t0_us, for rows that fall in them."""
+    bucket = (times - t0_us) // width_us
+    order, first = distinct_pairs(bucket, gids)
+    return np.bincount(bucket[order][first], minlength=n).astype(np.int64)
+
+
 def window_count_series(
     store: RecordStore,
     camera_id: int,
@@ -757,11 +787,8 @@ def window_count_series(
     t1_us = timeutil.window_start(t1_us)
     n = (t1_us - t0_us) // WINDOW_US
     starts = t0_us + WINDOW_US * np.arange(n, dtype=np.int64)
-    times, gid = iter_class0(store, camera_id, t0_us, t1_us)
-    win = (times - t0_us) // WINDOW_US
-    order, first = distinct_pairs(win, gid)
-    counts = np.bincount(win[order][first], minlength=n).astype(np.int64)
-    return starts, counts
+    times, gids = human_rows(store, [camera_id], t0_us, t1_us)
+    return starts, distinct_counts(times, gids, t0_us, WINDOW_US, n)
 
 
 def interval_counts(
@@ -776,16 +803,3 @@ def interval_counts(
         IntervalCount(camera_id, from_us(int(s)), int(c))
         for s, c in zip(starts.tolist(), counts.tolist())
     ]
-
-
-def iter_class0(
-    store: RecordStore,
-    camera_id: int,
-    t0_us: int,
-    t1_us: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(times_us, global_ids) of human-class records in [t0, t1) for one camera."""
-    idx = store.index(camera_id)
-    lo, hi = idx.slice(t0_us, t1_us)
-    mask = idx.class_ids[lo:hi] == HUMAN_CLASS
-    return idx.times[lo:hi][mask], idx.global_ids[lo:hi][mask]

@@ -27,6 +27,7 @@ from .timeutil import (
     US_PER_HOUR,
     date_to_day,
     day_to_date,
+    format_rfc3339,
     is_weekend,
     to_us,
 )
@@ -275,23 +276,9 @@ def generate_lines(profile: SimProfile, t0: datetime, t1: datetime) -> tuple[Ite
         w_l = ws[order].tolist()
         h_l = hs[order].tolist()
 
-        cached_day = None
-        cached_datestr = ""
         for i in range(len(t_l)):
-            t = t_l[i]
-            day, rem = divmod(t, US_PER_DAY)
-            if day != cached_day:
-                cached_day = day
-                cached_datestr = day_to_date(day).isoformat()
-            sec, micro = divmod(rem, 1_000_000)
-            hh, rest = divmod(sec, 3600)
-            mm, ss = divmod(rest, 60)
-            if micro:
-                stamp = f"{cached_datestr}T{hh:02d}:{mm:02d}:{ss:02d}.{micro:06d}Z"
-            else:
-                stamp = f"{cached_datestr}T{hh:02d}:{mm:02d}:{ss:02d}Z"
             yield (
-                f'{{"record_time":"{stamp}","camera_id":{c_l[i]},"class_id":0,'
+                f'{{"record_time":"{format_rfc3339(t_l[i])}","camera_id":{c_l[i]},"class_id":0,'
                 f'"bbox":[{x_l[i]},{y_l[i]},{w_l[i]},{h_l[i]}],'
                 f'"local_id":{l_l[i]},"global_id":{g_l[i]}}}'
             )

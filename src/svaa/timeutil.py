@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from datetime import date, datetime, timedelta, timezone
+from functools import lru_cache
 
 from .errors import InvalidTimestamp
 
@@ -60,7 +61,15 @@ def parse_rfc3339(text: str) -> int:
         dt = datetime.fromisoformat(cleaned)
     except ValueError as exc:
         raise InvalidTimestamp(f"unparseable timestamp {text!r}") from exc
-    return to_us(dt)
+    try:
+        return to_us(dt)
+    except OverflowError as exc:  # the offset moves the instant past year 1 or 9999
+        raise InvalidTimestamp(f"timestamp out of range {text!r}") from exc
+
+
+@lru_cache
+def _date_text(day: int) -> str:
+    return day_to_date(day).isoformat()
 
 
 def format_rfc3339(us: int) -> str:
@@ -69,16 +78,13 @@ def format_rfc3339(us: int) -> str:
     The fractional second is emitted as exactly six digits when nonzero and
     omitted when zero; both forms parse back losslessly.
     """
-    us = int(us)
-    day, rem = divmod(us, US_PER_DAY)
-    d = date.fromordinal(day + _EPOCH_ORDINAL)
+    day, rem = divmod(int(us), US_PER_DAY)
     sec, micro = divmod(rem, US_PER_SECOND)
     hh, rest = divmod(sec, 3600)
     mm, ss = divmod(rest, 60)
-    base = f"{d.isoformat()}T{hh:02d}:{mm:02d}:{ss:02d}"
     if micro:
-        return f"{base}.{micro:06d}Z"
-    return base + "Z"
+        return f"{_date_text(day)}T{hh:02d}:{mm:02d}:{ss:02d}.{micro:06d}Z"
+    return f"{_date_text(day)}T{hh:02d}:{mm:02d}:{ss:02d}Z"
 
 
 def parse_date_utc(text: str) -> date:

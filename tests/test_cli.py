@@ -247,3 +247,46 @@ def test_second_writer_exits_1(reference, tmp_path, capsys):
         assert "StoreLocked" in capsys.readouterr().err
     finally:
         holder.close()
+
+
+def test_instant_beyond_the_datetime_range_exits_1(tmp_path, capsys):
+    (tmp_path / "store").mkdir()
+    rc, _ = run("current", "--at", "9999-12-31T23:59:59-01:00", "--store", tmp_path / "store")
+    assert rc == 1
+    assert "InvalidTimestamp" in capsys.readouterr().err
+
+
+def test_holiday_and_saturday_use_the_weekend_buckets(tmp_path):
+    """At the same hour of day, a configured holiday shares its buckets with a Saturday, not with a weekday."""
+    per_window = {"2023-10-19": 1, "2023-10-20": 2, "2023-10-21": 3}  # Thursday, Friday, Saturday
+    lines = [make_line(record_time=f"{day}T12:00:{5 * w:02d}Z", global_id=g + 1)
+             for day, n in per_window.items() for w in range(6) for g in range(n)]
+    thu, fri, sat = (f"{day}T12:00:00Z" for day in per_window)
+    span = (thu, "2023-10-21T12:00:30Z")
+    store, config = tmp_path / "store", tmp_path / "config.json"
+
+    def replays(holidays: list[str]) -> tuple[dict, dict]:
+        """occupancy --live rows and anomaly --replay lines of the Thursday, Friday and Saturday windows."""
+        config.write_text(json.dumps({
+            "cameras": [{"camera_id": 1, "min_teta": 20.0, "max_teta": 60.0}], "holidays": holidays,
+            "occupancy": {"min_samples": 1}, "anomaly": {"min_samples": 1}}))
+        common = ("--camera", 1, "--store", store, "--config", config)
+        rc, live = run("occupancy", "--live", "--from", span[0], "--to", span[1], *common)
+        assert rc == 0
+        rows = {row["window_start"]: row for row in map(json.loads, live.splitlines())}
+        rc, csv = run("anomaly", "--replay", "..".join(span), *common)
+        assert rc == 0
+        lines = {line.split(",", 1)[0]: line for line in csv.splitlines()[1:]}
+        return {t: (rows[t]["bucket"], rows[t]["level"]) for t in (thu, fri, sat)}, {t: lines[t] for t in (fri, sat)}
+
+    config.write_text("{}")
+    ingest(store, config, tmp_path, lines)
+    weekday, weekend = "camera=1 hour=12 WEEKDAY", "camera=1 hour=12 WEEKEND_OR_HOLIDAY"
+
+    occupancy, anomaly = replays(["2023-10-20"])  # Saturday sees the holiday Friday's history
+    assert occupancy == {thu: (weekday, "UNKNOWN"), fri: (weekend, "UNKNOWN"), sat: (weekend, "HIGH")}
+    assert anomaly == {fri: f"{fri},2,0,0,0,false", sat: f"{sat},3,2,0,0,true"}
+
+    occupancy, anomaly = replays([])  # Friday sees Thursday's history, Saturday none
+    assert occupancy == {thu: (weekday, "UNKNOWN"), fri: (weekday, "HIGH"), sat: (weekend, "UNKNOWN")}
+    assert anomaly == {fri: f"{fri},2,1,0,0,true", sat: f"{sat},3,0,0,0,false"}

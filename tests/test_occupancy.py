@@ -15,6 +15,7 @@ from svaa.occupancy import (
     BucketSamples,
     DayClass,
     Level,
+    OccupancyLevel,
     bucket_key_for,
     classify_occupancy,
     percentile_nearest_rank,
@@ -119,6 +120,8 @@ class TestClassify:
         level = classify_occupancy(2, [0, 1, 1, 2, 2, 3, 3, 4], min_samples=8)
         assert (level.level, level.p25, level.p75) == (Level.NORMAL, 1, 3)
         assert classify_occupancy(3, [0, 1, 1, 2, 2, 3, 3, 4], min_samples=8).level == Level.NORMAL  # count == p75
+        # p25 is rank 1 of 4 and p75 rank 3; p26 would be rank 2 and rate this count LOW
+        assert classify_occupancy(1, [0, 1, 2, 3], min_samples=4) == OccupancyLevel(Level.NORMAL, 0, 2)
 
     def test_zero_count_is_low(self):
         level = classify_occupancy(0, [1, 2, 3, 4, 5], min_samples=1)

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import random
-from datetime import timedelta
+from datetime import datetime, timedelta
 
 import pytest
 from hypothesis import given, settings
@@ -134,6 +135,20 @@ class TestParseRecord:
         report = ingest_stream([make_line(record_time=text), make_line()], RecordStore())
         assert (report.accepted, report.rejected) == (1, 1)
 
+    @pytest.mark.parametrize("text", ["9999-12-31T23:59:59-01:00", "0001-01-01T00:00:00+01:00"])
+    def test_instant_beyond_the_datetime_range(self, text):
+        with pytest.raises(InvalidTimestamp):
+            parse_rfc3339(text)
+        report = ingest_stream([make_line(record_time=text), make_line()], RecordStore())
+        assert (report.accepted, report.rejected) == (1, 1)
+
+    @pytest.mark.parametrize("line", ["[" * 100_000, '{"camera_id":' + "1" * 5000 + "}"])
+    def test_json_beyond_the_decoder_limits(self, line):
+        with pytest.raises(MalformedLine):
+            parse_record(line)
+        report = ingest_stream([line, make_line()], RecordStore())
+        assert (report.accepted, report.rejected) == (1, 1)
+
     def test_format_round_trip(self):
         line = make_line(bbox=(10.5, 20, 50, 100), feature="blob", batch_id="b7")
         rec = parse_record(line)
@@ -144,6 +159,46 @@ class TestParseRecord:
 @given(st.integers(min_value=0, max_value=4_102_444_800_000_000))  # through 2100
 def test_timestamp_round_trip_lossless(us):
     assert parse_rfc3339(format_rfc3339(us)) == us
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+_OFFSET = st.builds("{}{:02d}:{:02d}".format, st.sampled_from("+-"), st.integers(0, 24), st.integers(0, 59)) \
+    | st.sampled_from(["", "Z", "z"])
+
+
+@st.composite
+def _stamps(draw) -> str:
+    """RFC 3339 shapes, often a wall clock in the hour at the end of the range that the offset points past."""
+    offset = draw(_OFFSET)
+    near = datetime(1, 1, 1) if offset.startswith("+") else datetime(9999, 12, 31, 23)
+    wall = draw(st.datetimes(near, near + timedelta(minutes=59, seconds=59)) | st.datetimes())
+    fraction = draw(st.just("") | st.from_regex(r"\.[0-9]{1,9}", fullmatch=True))
+    return wall.replace(microsecond=0).isoformat(draw(st.sampled_from("Tt "))) + fraction + offset
+
+
+_ID = st.integers(-1, 3) | st.integers(2**63 - 2, 2**63) | _JSON
+_PIXEL = st.integers(-1, 10**20) | st.floats() | st.booleans()
+_RECORD = st.fixed_dictionaries(
+    {"record_time": _stamps() | _JSON, "camera_id": _ID, "class_id": _ID,
+     "bbox": st.lists(_PIXEL, min_size=3, max_size=5) | _JSON, "local_id": _ID, "global_id": _ID},
+    optional={"feature": st.text(max_size=8) | _JSON, "batch_id": _JSON},
+)
+
+
+@given(_RECORD | st.dictionaries(st.text(max_size=12), _JSON, max_size=8))
+@settings(max_examples=300)
+def test_parse_rejects_or_format_is_a_fixed_point(obj):
+    """Any JSON object is rejected with a typed error, or its canonical line parses back to itself."""
+    try:
+        rec = parse_record(json.dumps(obj))
+    except (MalformedLine, InvalidTimestamp, InvalidBBox):
+        return
+    canonical = format_record(rec)
+    assert format_record(parse_record(canonical)) == canonical
 
 
 class TestIngest:

@@ -1,0 +1,92 @@
+"""Static rules over src/svaa, checked with the stdlib ast module (no linter is needed).
+
+records.py alone reads a camera's row index: no other module calls
+`.index(` on a store or imports HUMAN_CLASS. No module keeps a top-level
+import it never uses.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "svaa"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _dotted(node: ast.expr) -> str:
+    """`a.b.c` for a chain of names and attributes, "" for anything else."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        base = _dotted(node.value)
+        return f"{base}.{node.attr}" if base else ""
+    return ""
+
+
+def index_reads(tree: ast.Module) -> list[int]:
+    """Lines that call `.index(` on something named like a store, or on the RecordStore class."""
+    return [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "index"
+        and "store" in _dotted(node.func.value).lower()
+    ]
+
+
+def human_class_uses(tree: ast.Module) -> list[int]:
+    """Lines that import HUMAN_CLASS or read it as a module attribute."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and any(alias.name == "HUMAN_CLASS" for alias in node.names):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr == "HUMAN_CLASS":
+            lines.append(node.lineno)
+    return lines
+
+
+def unused_imports(tree: ast.Module) -> list[str]:
+    """Top-level imported names that the module neither reads nor lists in __all__."""
+    imported: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used |= {elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)}
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "records.py"], ids=lambda p: p.name)
+def test_only_records_reads_the_row_index(path):
+    tree = _tree(path)
+    assert index_reads(tree) == [], f"{path.name} reads a store's index; ask records.human_rows instead"
+    assert human_class_uses(tree) == [], f"{path.name} uses HUMAN_CLASS; records.human_rows applies it"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_top_level_imports(path):
+    assert unused_imports(_tree(path)) == []
+
+
+def test_the_rules_catch_what_they_forbid():
+    tree = ast.parse(
+        "import os\n"
+        "from .records import HUMAN_CLASS, RecordStore\n"
+        "def f(store: RecordStore, cid):\n"
+        "    return store.index(cid), self.store.index(cid), RecordStore.index(store, cid), [1].index(1)\n"
+        "print(records.HUMAN_CLASS)\n"
+    )
+    assert index_reads(tree) == [4, 4, 4]
+    assert human_class_uses(tree) == [2, 5]
+    assert unused_imports(tree) == ["os (line 1)", "HUMAN_CLASS (line 2)"]
