@@ -12,10 +12,8 @@ from .records import (
     BoundingBox,
     DetectionRecord,
     IngestReport,
-    IntervalCount,
     RecordStore,
     ingest_stream,
-    interval_counts,
     parse_record,
     query_window,
 )
@@ -24,10 +22,8 @@ __all__ = [
     "BoundingBox",
     "DetectionRecord",
     "IngestReport",
-    "IntervalCount",
     "RecordStore",
     "ingest_stream",
-    "interval_counts",
     "parse_record",
     "query_window",
     "__version__",

@@ -12,21 +12,16 @@ import argparse
 import sys
 from datetime import datetime, timedelta
 from pathlib import Path
+from typing import Iterator
+
+import numpy as np
 
 from . import anomaly as anomaly_mod
 from . import birdseye, heatmap, metrics, occupancy, synth
 from .config import AppConfig, load_config
 from .errors import AnalyticsError, UnknownCamera
 from .records import RecordStore, ingest_stream
-from .timeutil import (
-    WINDOW_US,
-    format_rfc3339,
-    from_us,
-    parse_date_utc,
-    parse_rfc3339,
-    to_us,
-    window_start,
-)
+from .timeutil import format_rfc3339, from_us, parse_date_utc, parse_rfc3339, to_us, window_days
 
 
 class UsageError(Exception):
@@ -69,13 +64,32 @@ def _fmt(value: float) -> str:
     return f"{value:.9g}"
 
 
-def _occupancy_fields(obs: occupancy.OccupancyObservation) -> str:
-    p25 = obs.result.p25 if obs.result.p25 is not None else "null"
-    p75 = obs.result.p75 if obs.result.p75 is not None else "null"
-    return (
-        f'"count":{obs.count},"level":"{obs.result.level.name}",'
-        f'"p25":{p25},"p75":{p75},"bucket":"{obs.bucket}"'
-    )
+def _texts(values: np.ndarray, fmt) -> list[str]:
+    """fmt of each value, called once per distinct value."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    return np.array([fmt(v) for v in distinct.tolist()], dtype=object)[inverse].tolist()
+
+
+def _null(value: int) -> str:
+    return str(value) if value >= 0 else "null"
+
+
+_LEVEL_NAMES = np.array([level.name for level in occupancy.Level], dtype=object)
+_FLAG_TEXTS = np.array(["false", "true"], dtype=object)
+
+
+def _occupancy_rows(series: occupancy.Levels, camera_id: int, lo: int, hi: int) -> Iterator[tuple]:
+    """Windows lo..hi-1 of a replay as (count, level, p25, p75, bucket) texts."""
+    buckets = np.array([str(key) for key in occupancy.bucket_keys(camera_id)], dtype=object)
+    return zip(series.counts[lo:hi].tolist(), _LEVEL_NAMES[series.level[lo:hi]].tolist(),
+               _texts(series.p25[lo:hi], _null), _texts(series.p75[lo:hi], _null),
+               buckets[series.slots[lo:hi]].tolist())
+
+
+def _occupancy_fields(row: tuple) -> str:
+    """An occupancy line's fields after window_start, from one row of _occupancy_rows."""
+    count, level, p25, p75, bucket = row
+    return f'"count":{count},"level":"{level}","p25":{p25},"p75":{p75},"bucket":"{bucket}"'
 
 
 def cmd_ingest(args, config: AppConfig, out) -> int:
@@ -168,29 +182,31 @@ def cmd_peaks(args, config: AppConfig, out) -> int:
 def cmd_occupancy(args, config: AppConfig, out) -> int:
     store = _open_store(args, config)
     _check_camera(config, args.camera)
-    holidays = config.holiday_days()
     kwargs = dict(
-        holidays=holidays,
+        holidays=config.holiday_days(),
         min_samples=config.occupancy_min_samples,
         capacity=config.occupancy_capacity,
     )
     if args.live:
-        t0 = _parse_time(args.time_from) if args.time_from else None
-        t1 = _parse_time(args.time_to) if args.time_to else None
-        for obs in occupancy.replay(store, args.camera, t0=t0, t1=t1, **kwargs):
-            ws = format_rfc3339(to_us(obs.window_start))
-            out.write(f'{{"window_start":"{ws}",{_occupancy_fields(obs)}}}\n')
+        series = occupancy.levels(
+            store, args.camera,
+            t0_us=parse_rfc3339(args.time_from) if args.time_from else None,
+            t1_us=parse_rfc3339(args.time_to) if args.time_to else None, **kwargs,
+        )
+        if series is None:
+            return 0
+        write, fields = out.write, _occupancy_fields
+        for lo, hi, date, times in window_days(series.starts):
+            for time, row in zip(times, _occupancy_rows(series, args.camera, lo, hi)):
+                write(f'{{"window_start":"{date}{time}",{fields(row)}}}\n')
         return 0
     if not args.at:
         raise UsageError("occupancy needs --at TIMESTAMP or --live")
-    target = window_start(parse_rfc3339(args.at))
-    t1 = from_us(target + WINDOW_US)
-    last = None
-    for obs in occupancy.replay(store, args.camera, t1=t1, **kwargs):
-        last = obs
-    if last is None or to_us(last.window_start) != target:
+    series = occupancy.level_at(store, args.camera, parse_rfc3339(args.at), **kwargs)
+    if series is None:
         raise AnalyticsError(f"camera {args.camera} has no records before {args.at}")
-    out.write(f"{{{_occupancy_fields(last)}}}\n")
+    (row,) = _occupancy_rows(series, args.camera, 0, 1)
+    out.write(f"{{{_occupancy_fields(row)}}}\n")
     return 0
 
 
@@ -201,18 +217,19 @@ def cmd_anomaly(args, config: AppConfig, out) -> int:
         t0_text, t1_text = args.replay.split("..", 1)
     except ValueError:
         raise UsageError("--replay wants a range like 2023-10-16T00:00:00Z..2023-10-17T00:00:00Z")
-    out.write("window_start,count,mean,std,z,is_anomaly\n")
-    for obs in anomaly_mod.replay(
-        store, args.camera,
-        holidays=config.holiday_days(),
-        t0=_parse_time(t0_text), t1=_parse_time(t1_text),
-        min_samples=config.anomaly_min_samples,
-    ):
-        v = obs.verdict
-        out.write(
-            f"{format_rfc3339(to_us(obs.window_start))},{obs.count},"
-            f"{_fmt(v.mean)},{_fmt(v.std)},{_fmt(v.z_score)},{str(v.is_anomaly).lower()}\n"
-        )
+    series = anomaly_mod.moments(store, args.camera, holidays=config.holiday_days(),
+                                 t0_us=parse_rfc3339(t0_text), t1_us=parse_rfc3339(t1_text))
+    write = out.write
+    write("window_start,count,mean,std,z,is_anomaly\n")
+    for lo, hi, date, times in window_days(series.starts):
+        counts = series.counts[lo:hi]
+        flag, mean, std, z = anomaly_mod.verdicts(counts, series.n[lo:hi], series.s[lo:hi], series.q[lo:hi],
+                                                  config.anomaly_min_samples)
+        for time, count, mean_text, std_text, z_text, flag_text in zip(
+            times, counts.tolist(), _texts(mean, _fmt), _texts(std, _fmt), _texts(z, _fmt),
+            _FLAG_TEXTS[flag.view(np.int8)].tolist(),
+        ):
+            write(f"{date}{time},{count},{mean_text},{std_text},{z_text},{flag_text}\n")
     return 0
 
 

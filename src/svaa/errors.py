@@ -21,6 +21,10 @@ class InvertedRange(AnalyticsError):
     """A time range was given with t0 > t1."""
 
 
+class RangeTooLong(AnalyticsError):
+    """A time range holds more 5-second windows than one query may replay."""
+
+
 class StoreUnwritable(AnalyticsError):
     """The record store directory cannot be created or appended to."""
 

@@ -15,12 +15,9 @@ a camera's 48 bucket keys in slot order (`bucket_keys`).
 from __future__ import annotations
 
 import enum
-import math
-from collections import deque
 from dataclasses import dataclass
 from datetime import datetime
-from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -75,108 +72,121 @@ def bucket_keys(camera_id: int) -> list[BucketKey]:
     ]
 
 
-def bucket_key_for(camera_id: int, us: int, holidays: frozenset[int] = frozenset()) -> BucketKey:
-    """Bucket for a timestamp: hour of day plus weekday/weekend-or-holiday split."""
-    return bucket_keys(camera_id)[int(bucket_slot(us, holidays))]
-
-
 def replay_span(
     store: RecordStore,
     camera_id: int,
-    t0: datetime | None,
-    t1: datetime | None,
+    t0_us: int | None,
+    t1_us: int | None,
 ) -> tuple[int, int] | None:
     """A replay's [t0, t1) in epoch microseconds; None when there is nothing to replay.
 
     A missing bound defaults to the camera's data extent on the window grid.
     """
     bounds = store.time_bounds(camera_id)
-    if bounds is None and (t0 is None or t1 is None):
+    if bounds is None and (t0_us is None or t1_us is None):
         return None
-    t0_us = to_us(t0) if t0 is not None else window_start(bounds[0])
-    t1_us = to_us(t1) if t1 is not None else window_start(bounds[1]) + WINDOW_US
+    t0_us = t0_us if t0_us is not None else window_start(bounds[0])
+    t1_us = t1_us if t1_us is not None else window_start(bounds[1]) + WINDOW_US
     return t0_us, t1_us
 
 
-def _nearest_rank(p: float, n: int) -> int:
-    """1-indexed nearest rank: ceil(p/100 * n), evaluated in exact arithmetic."""
-    if not 0 < p <= 100:
-        raise ValueError(f"percentile must be in (0, 100], got {p}")
-    if type(p) is int or (type(p) is float and p.is_integer()):
-        return -(-int(p) * n // 100)
-    return math.ceil(Fraction(p) * n / 100)
+_BLOCK_CELLS = 1 << 15  # histogram cells per block of windows: bounds the kernel's scratch memory
 
 
-def percentile_nearest_rank(values: Iterable[int], p: float) -> int:
-    """Value at the nearest-rank percentile of a multiset of nonnegative ints.
+def _prefix_rows(codes: np.ndarray, base: np.ndarray, k0: int, k1: int) -> np.ndarray:
+    """Rows k0..k1-1 of the prefix histograms of codes, row k counting codes[:k]; base is row k0."""
+    rows = np.zeros((k1 - k0, len(base)), dtype=np.int64)
+    rows[0] = base
+    rows[np.arange(1, k1 - k0), codes[k0:k1 - 1]] = 1
+    return np.cumsum(rows, axis=0, out=rows)
 
-    The element at rank ceil(p/100*n) of the ascending sort, exactly, found
-    by the same histogram walk the replay's bucket histories use.
+
+def classify_slot(counts: np.ndarray, capacity: int = DEFAULT_CAPACITY,
+                  min_samples: int = DEFAULT_MIN_SAMPLES) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Level, p25 and p75 of each window of one bucket's count sequence.
+
+    Window j is rated against the FIFO of the min(j, capacity) counts before
+    it: LOW when its count <= p25, NORMAL when <= p75, HIGH above, and
+    UNKNOWN, with p25 = p75 = -1, while the FIFO holds fewer than
+    min_samples counts. The FIFO's histogram is cum[j] - cum[max(j - capacity, 0)]
+    for the prefix histograms cum, and a nearest-rank percentile is the first
+    value whose running sum reaches ceil(p/100 * size). Windows are taken a
+    block at a time, so scratch memory does not grow with the sequence.
     """
-    return _loaded(values).percentile(p)
+    if capacity < 1:
+        raise ValueError("capacity must be positive")
+    m = len(counts)
+    if min_samples < 1 and m:
+        raise EmptyHistory("percentile of an empty bucket")
+    p25, p75 = np.full(m, -1, dtype=np.int64), np.full(m, -1, dtype=np.int64)
+    start = min(min_samples, m) if min_samples <= capacity else m  # the first window with enough history
+    values, codes = np.unique(counts, return_inverse=True)
+    up = np.bincount(codes[:start], minlength=len(values))  # cum[a] for the block starting at a
+    down = np.bincount(codes[:max(start - capacity, 0)], minlength=len(values))  # cum[max(a - capacity, 0)]
+    block = max(1, _BLOCK_CELLS // max(len(values), 1))
+    for a in range(start, m, block):
+        b = min(a + block, m)
+        lo = np.maximum(np.arange(a, b) - capacity, 0)
+        hist = _prefix_rows(codes, up, a, b)
+        hist -= _prefix_rows(codes, down, lo[0], lo[-1] + 1)[lo - lo[0]]
+        np.cumsum(hist, axis=1, out=hist)
+        size = np.minimum(np.arange(a, b), capacity)
+        p25[a:b] = values[np.argmax(hist >= -(-25 * size // 100)[:, None], axis=1)]
+        p75[a:b] = values[np.argmax(hist >= -(-75 * size // 100)[:, None], axis=1)]
+        up += np.bincount(codes[a:b], minlength=len(values))
+        down += np.bincount(codes[lo[0]:max(b - capacity, 0)], minlength=len(values))
+    level = np.where(counts <= p25, Level.LOW, np.where(counts <= p75, Level.NORMAL, Level.HIGH)).astype(np.int8)
+    level[:start] = Level.UNKNOWN
+    return level, p25, p75
 
 
-class BucketSamples:
-    """Bounded FIFO multiset of interval counts with a live value histogram."""
+class Levels(NamedTuple):
+    """A replay's windows as columns, in time order."""
 
-    __slots__ = ("capacity", "_fifo", "_hist")
-
-    def __init__(self, capacity: int = DEFAULT_CAPACITY):
-        if capacity < 1:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
-        self._fifo: deque[int] = deque()
-        self._hist: dict[int, int] = {}
-
-    def add(self, count: int) -> None:
-        """Record one interval count, evicting the oldest beyond capacity."""
-        if count < 0:
-            raise ValueError("counts are nonnegative")
-        self._fifo.append(count)
-        self._hist[count] = self._hist.get(count, 0) + 1
-        if len(self._fifo) > self.capacity:
-            old = self._fifo.popleft()
-            remaining = self._hist[old] - 1
-            if remaining:
-                self._hist[old] = remaining
-            else:
-                del self._hist[old]
-
-    def __len__(self) -> int:
-        return len(self._fifo)
-
-    def values(self) -> list[int]:
-        """Retained counts in insertion order."""
-        return list(self._fifo)
-
-    def percentile(self, p: float) -> int:
-        return self.percentile_pair(p, p)[0]
-
-    def percentile_pair(self, p_lo: float, p_hi: float) -> tuple[int, int]:
-        """Two percentiles in one histogram walk (p_lo <= p_hi)."""
-        if not self._fifo:
-            raise EmptyHistory("percentile of an empty bucket")
-        n = len(self._fifo)
-        rank_lo = _nearest_rank(p_lo, n)
-        rank_hi = _nearest_rank(p_hi, n)
-        lo_value = -1
-        cumulative = 0
-        for value in sorted(self._hist):
-            cumulative += self._hist[value]
-            if lo_value < 0 and cumulative >= rank_lo:
-                lo_value = value
-            if cumulative >= rank_hi:
-                return lo_value, value
-        raise AssertionError("rank exceeds multiset size")
+    starts: np.ndarray  # window starts, epoch microseconds
+    counts: np.ndarray
+    slots: np.ndarray  # bucket slots, see bucket_slot
+    level: np.ndarray  # Level values
+    p25: np.ndarray  # -1 where the level is UNKNOWN
+    p75: np.ndarray
 
 
-def _loaded(values: Iterable[int]) -> BucketSamples:
-    """A BucketSamples holding all of values."""
-    pool = list(values)
-    samples = BucketSamples(max(len(pool), 1))
-    for value in pool:
-        samples.add(value)
-    return samples
+def levels(store: RecordStore, camera_id: int, *, holidays: frozenset[int] = frozenset(),
+           t0_us: int | None = None, t1_us: int | None = None, min_samples: int = DEFAULT_MIN_SAMPLES,
+           capacity: int = DEFAULT_CAPACITY) -> Levels | None:
+    """Classify every 5-second window of one camera in [t0, t1), each bucket slot on its own (see classify_slot).
+
+    None when there is nothing to replay. Bounds default to the camera's own
+    data extent.
+    """
+    span = replay_span(store, camera_id, t0_us, t1_us)
+    if span is None:
+        return None
+    starts, counts = window_count_series(store, camera_id, *span)
+    slots = bucket_slot(starts, holidays)
+    columns = (np.zeros(len(counts), dtype=np.int8), np.full(len(counts), -1), np.full(len(counts), -1))
+    for slot in np.unique(slots):
+        rows = np.flatnonzero(slots == slot)
+        for column, values in zip(columns, classify_slot(counts[rows], capacity, min_samples)):
+            column[rows] = values
+    return Levels(starts, counts, slots, *columns)
+
+
+def level_at(store: RecordStore, camera_id: int, at_us: int, *, holidays: frozenset[int] = frozenset(),
+             min_samples: int = DEFAULT_MIN_SAMPLES, capacity: int = DEFAULT_CAPACITY) -> Levels | None:
+    """The window holding at_us as one-row Levels, rated as by levels() from the camera's data start.
+
+    Only the target's bucket slot is classified. None when the camera has no
+    record before the end of that window.
+    """
+    target = window_start(at_us)
+    bounds = store.time_bounds(camera_id)
+    if bounds is None or window_start(bounds[0]) > target:
+        return None
+    starts, counts = window_count_series(store, camera_id, window_start(bounds[0]), target + WINDOW_US)
+    slots = bucket_slot(starts, holidays)
+    columns = classify_slot(counts[slots == slots[-1]], capacity, min_samples)
+    return Levels(starts[-1:], counts[-1:], slots[-1:], *(column[-1:] for column in columns))
 
 
 @dataclass(frozen=True, slots=True)
@@ -186,32 +196,6 @@ class OccupancyLevel:
     level: Level
     p25: int | None
     p75: int | None
-
-
-def classify_occupancy(
-    count: int,
-    samples: BucketSamples | Iterable[int],
-    min_samples: int = DEFAULT_MIN_SAMPLES,
-) -> OccupancyLevel:
-    """Rate a count against a bucket's history, thresholds excluding the count.
-
-    LOW when count <= p25, NORMAL when p25 < count <= p75, HIGH above p75.
-    Histories below min_samples yield UNKNOWN rather than noisy thresholds.
-    """
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    if not isinstance(samples, BucketSamples):
-        samples = _loaded(samples)
-    if len(samples) < min_samples:
-        return OccupancyLevel(Level.UNKNOWN, None, None)
-    p25, p75 = samples.percentile_pair(25, 75)
-    if count <= p25:
-        level = Level.LOW
-    elif count <= p75:
-        level = Level.NORMAL
-    else:
-        level = Level.HIGH
-    return OccupancyLevel(level, p25, p75)
 
 
 @dataclass(frozen=True, slots=True)
@@ -233,20 +217,13 @@ def replay(
     min_samples: int = DEFAULT_MIN_SAMPLES,
     capacity: int = DEFAULT_CAPACITY,
 ) -> Iterator[OccupancyObservation]:
-    """Classify every 5-second window of one camera in time order.
-
-    Each window is classified against its bucket's history as accumulated so
-    far, then appended to it, so replaying a frozen store reproduces the
-    exact level sequence. Bounds default to the camera's own data extent.
-    """
-    span = replay_span(store, camera_id, t0, t1)
-    if span is None:
+    """levels() as one observation per window, in time order."""
+    series = levels(store, camera_id, holidays=holidays, t0_us=None if t0 is None else to_us(t0),
+                    t1_us=None if t1 is None else to_us(t1), min_samples=min_samples, capacity=capacity)
+    if series is None:
         return
-    starts, counts = window_count_series(store, camera_id, *span)
     keys = bucket_keys(camera_id)
-    histories = [BucketSamples(capacity) for _ in keys]
-    for start, slot, count in zip(starts.tolist(), bucket_slot(starts, holidays).tolist(), counts.tolist()):
-        samples = histories[slot]
-        result = classify_occupancy(count, samples, min_samples)
-        samples.add(count)
+    for start, count, slot, level, p25, p75 in zip(*(column.tolist() for column in series)):
+        known = level != Level.UNKNOWN
+        result = OccupancyLevel(Level(level), p25 if known else None, p75 if known else None)
         yield OccupancyObservation(camera_id, from_us(start), count, result, keys[slot])

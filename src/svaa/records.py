@@ -60,6 +60,7 @@ from .errors import (
     InvalidTimestamp,
     InvertedRange,
     MalformedLine,
+    RangeTooLong,
     StoreLocked,
     StoreUnwritable,
 )
@@ -68,6 +69,7 @@ from .timeutil import WINDOW_US, from_us, to_us
 logger = logging.getLogger(__name__)
 
 HUMAN_CLASS = 0
+MAX_SERIES_WINDOWS = 366 * timeutil.US_PER_DAY // WINDOW_US  # a leap year of windows: the longest window_count_series
 
 
 @dataclass(frozen=True, slots=True)
@@ -96,15 +98,6 @@ class DetectionRecord:
     @property
     def time_us(self) -> int:
         return to_us(self.record_time)
-
-
-@dataclass(frozen=True, slots=True)
-class IntervalCount:
-    """Distinct people seen by one camera in one 5-second window."""
-
-    camera_id: int
-    window_start: datetime
-    count: int
 
 
 @dataclass(slots=True)
@@ -779,27 +772,19 @@ def window_count_series(
 
     Both endpoints are aligned down to the epoch 5-second grid; windows with
     no records appear with count 0. Only human-class records contribute and
-    duplicate global ids within a window collapse.
+    duplicate global ids within a window collapse. A range of more than
+    MAX_SERIES_WINDOWS windows is refused with RangeTooLong before anything
+    is allocated.
     """
     if t0_us > t1_us:
         raise InvertedRange(f"t0 {from_us(t0_us)} is after t1 {from_us(t1_us)}")
     t0_us = timeutil.window_start(t0_us)
     t1_us = timeutil.window_start(t1_us)
     n = (t1_us - t0_us) // WINDOW_US
+    if n > MAX_SERIES_WINDOWS:
+        raise RangeTooLong(f"{n} windows from {timeutil.format_rfc3339(t0_us)}; one query takes at most"
+                           f" {MAX_SERIES_WINDOWS} (366 days)")
     starts = t0_us + WINDOW_US * np.arange(n, dtype=np.int64)
     times, gids = human_rows(store, [camera_id], t0_us, t1_us)
     return starts, distinct_counts(times, gids, t0_us, WINDOW_US, n)
 
-
-def interval_counts(
-    store: RecordStore,
-    camera_id: int,
-    t0: datetime,
-    t1: datetime,
-) -> list[IntervalCount]:
-    """One IntervalCount per 5-second window in [t0, t1), zero windows included."""
-    starts, counts = window_count_series(store, camera_id, to_us(t0), to_us(t1))
-    return [
-        IntervalCount(camera_id, from_us(int(s)), int(c))
-        for s, c in zip(starts.tolist(), counts.tolist())
-    ]

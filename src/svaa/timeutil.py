@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 from datetime import date, datetime, timedelta, timezone
 from functools import lru_cache
+from typing import Iterator
 
 from .errors import InvalidTimestamp
 
@@ -70,6 +71,29 @@ def parse_rfc3339(text: str) -> int:
 @lru_cache
 def _date_text(day: int) -> str:
     return day_to_date(day).isoformat()
+
+
+@lru_cache(maxsize=1)
+def _times_of_day() -> list[str]:
+    """The "THH:MM:SSZ" text of each 5-second window of a day."""
+    return [f"T{s // 3600:02d}:{s // 60 % 60:02d}:{s % 60:02d}Z" for s in range(0, 86_400, WINDOW_US // US_PER_SECOND)]
+
+
+def window_days(starts) -> Iterator[tuple[int, int, str, list[str]]]:
+    """Split a run of consecutive 5-second window starts, on the grid, at each UTC midnight.
+
+    Yields (lo, hi, date, times) per day: starts[lo:hi] fall on that day and
+    date + times[i] == format_rfc3339(starts[lo + i]).
+    """
+    if not len(starts):
+        return
+    table = _times_of_day()
+    day, k = divmod(int(starts[0]) // WINDOW_US, len(table))
+    lo = 0
+    while lo < len(starts):
+        hi = min(len(starts), lo + len(table) - k)
+        yield lo, hi, _date_text(day), table[k:k + hi - lo]
+        lo, day, k = hi, day + 1, 0
 
 
 def format_rfc3339(us: int) -> str:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 import random
 
 import numpy as np
@@ -10,11 +11,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from svaa.anomaly import AnomalyStats, MomentAccumulator, replay
+from svaa.anomaly import prefix_moments, replay, verdicts
 from svaa.occupancy import BucketKey, DayClass
 from svaa.timeutil import format_rfc3339, to_us
 
 from conftest import make_line, store_from_lines, utc
+from oracle import AnomalyStats, replay_verdicts
 
 KEY = BucketKey(1, 9, DayClass.WEEKDAY)
 
@@ -217,3 +219,79 @@ class TestReplay:
                 assert obs.verdict.std == pytest.approx(std, rel=1e-9, abs=1e-12)
             assert obs.verdict.n == len(nonzero)
             prefix.append(obs.count)
+
+
+def exact_verdicts(counts, slots, min_samples):
+    """Per window: count > mean + 2*std over its slot's prior nonzero counts, in exact rationals, and n, S, Q."""
+    sums: dict[int, tuple[int, int, int]] = {}
+    out = []
+    for count, slot in zip(counts, slots):
+        n, s, q = sums.get(slot, (0, 0, 0))
+        mean = Fraction(s, n) if n else Fraction(0)
+        var = Fraction(n * q - s * s, n * (n - 1)) if n > 1 else Fraction(0)
+        out.append((n >= min_samples and count > mean and (count - mean) ** 2 > 4 * var, n, s, q))
+        if count:
+            sums[slot] = (n + 1, s + count, q + count * count)
+    return out
+
+
+def kernel(counts, slots, min_samples):
+    counts = np.array(counts, dtype=np.int64)
+    n, s, q = prefix_moments(counts, np.array(slots, dtype=np.int64))
+    return verdicts(counts, n, s, q, min_samples)
+
+
+@st.composite
+def surge_streams(draw, top=60):
+    n = draw(st.integers(0, 150))
+    counts = draw(st.lists(st.integers(-top // 2, top).map(lambda v: max(v, 0)), min_size=n, max_size=n))  # a third zeros
+    slots = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    near = max(n // 6, 0)
+    min_samples = draw(st.integers(max(near - 3, 0), near + 3) | st.integers(0, 40))
+    return counts, slots, min_samples
+
+
+@given(surge_streams())
+@settings(max_examples=150, deadline=None)
+def test_kernel_flags_are_the_exact_rule_and_moments_are_welfords(stream):
+    counts, slots, min_samples = stream
+    flag, mean, std, z = kernel(counts, slots, min_samples)
+    assert flag.tolist() == [want[0] for want in exact_verdicts(counts, slots, min_samples)]
+    for got_mean, got_std, got_z, want in zip(mean.tolist(), std.tolist(), z.tolist(),
+                                              replay_verdicts(counts, slots, min_samples)):
+        assert math.isclose(got_mean, want.mean, rel_tol=1e-12)
+        assert math.isclose(got_std, want.std, rel_tol=1e-12)
+        assert math.isclose(got_z, want.z_score, rel_tol=1e-9, abs_tol=1e-9)
+
+
+@given(st.sampled_from((10**8, 10**12)).flatmap(lambda top: surge_streams(top=top)))
+@settings(max_examples=100, deadline=None)
+def test_counts_past_the_int64_bound_are_decided_exactly(stream):
+    counts, slots, min_samples = stream
+    flag, mean, std, _ = kernel(counts, slots, min_samples)
+    want = exact_verdicts(counts, slots, min_samples)
+    assert flag.tolist() == [w[0] for w in want]
+    for got_mean, got_std, (_, n, s, q) in zip(mean.tolist(), std.tolist(), want):
+        assert got_mean == (s / n if n else 0.0)  # Python's int / int is correctly rounded
+        assert math.isclose(got_std, math.sqrt((n * q - s * s) / (n * (n - 1))) if n > 1 else 0.0, rel_tol=1e-12)
+
+
+class TestBound:
+    """Both exact paths: a row past the int64 product bound, and sums of squares past int64."""
+
+    def test_products_past_the_bound(self):
+        # 31 counts of 10**7 and 10**7 + 1, then two surges; d^2 (n - 1) of the 3e8 one is ~3e21, past int64
+        counts = [10**7, 10**7 + 1] * 15 + [10**7] + [10**7 + 2, 3 * 10**8]
+        n, s, q = prefix_moments(np.array(counts, dtype=np.int64), np.zeros(len(counts), dtype=np.int64))
+        assert q.dtype == np.int64  # the sums fit: only the rule's products do not
+        flag, _, _, _ = kernel(counts, [0] * len(counts), 30)
+        assert flag.tolist() == [want[0] for want in exact_verdicts(counts, [0] * len(counts), 30)]
+        assert flag[-2:].tolist() == [True, True]  # mean 10**7 + 15/31, std about 0.51
+
+    def test_sums_of_squares_past_int64(self):
+        counts = [3 * 10**9, 3 * 10**9 + 1, 3 * 10**9 + 2, 3 * 10**9 + 9]
+        n, s, q = prefix_moments(np.array(counts, dtype=np.int64), np.zeros(4, dtype=np.int64))
+        assert q.dtype == object and q[-1] == sum(c * c for c in counts[:3])
+        flag, mean, _, _ = kernel(counts, [0] * 4, 3)
+        assert flag.tolist() == [False, False, False, True]
+        assert mean[-1] == 3 * 10**9 + 1

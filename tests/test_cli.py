@@ -5,8 +5,10 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import random
 import shutil
-from datetime import datetime
+import tracemalloc
+from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
@@ -290,3 +292,80 @@ def test_holiday_and_saturday_use_the_weekend_buckets(tmp_path):
     occupancy, anomaly = replays([])  # Friday sees Thursday's history, Saturday none
     assert occupancy == {thu: (weekday, "UNKNOWN"), fri: (weekday, "HIGH"), sat: (weekend, "UNKNOWN")}
     assert anomaly == {fri: f"{fri},2,1,0,0,true", sat: f"{sat},3,0,0,0,false"}
+
+
+class Lines:
+    """An output stream that keeps each write apart."""
+
+    def __init__(self):
+        self.writes: list[str] = []
+
+    def write(self, text: str) -> None:
+        self.writes.append(text)
+
+
+def test_renderer_patch_reaches_every_occupancy_line_and_each_write_is_one_line(built, config, window, monkeypatch):
+    """A benchmark check that corrupts cli._occupancy_fields must see both --at and --live change."""
+    store, ref = built
+    common = ("--store", store, "--config", config)
+    at = ("occupancy", "--camera", 1, "--at", window[:-1] + ".5Z", *common)
+    live = ("occupancy", "--camera", 2, "--live", "--from", T0, "--to", T1, *common)
+    replay = ("anomaly", "--camera", 1, "--replay", f"{T0}..{T1}", *common)
+    for argv, label in ((live, "occupancy_live"), (replay, "anomaly")):
+        out = Lines()
+        assert cli.main([str(a) for a in argv], out=out) == 0
+        assert "".join(out.writes) == ref[label]
+        assert len(out.writes) == ref[label].count("\n") and all(
+            text.endswith("\n") and text.count("\n") == 1 for text in out.writes)
+    renderer = cli._occupancy_fields
+    monkeypatch.setattr(cli, "_occupancy_fields", lambda row: renderer(row).replace('"bucket"', '"bucket "'))
+    for argv, label in ((at, "occupancy_at"), (live, "occupancy_live")):
+        rc, out = run(*argv)
+        assert rc == 0 and out != ref[label] and out.count('"bucket "') == ref[label].count("\n")
+
+
+def test_at_equals_the_live_line_at_every_window(tmp_path, capsys):
+    """Across a midnight that is also a weekday/weekend switch, with a FIFO of 3 that evicts all the time."""
+    rng = random.Random(8)
+    lines = [make_line(record_time=f"2023-10-{day}T{hh}:{mm:02d}:{ss:02d}Z", global_id=rng.randrange(1, 6),
+                       local_id=rng.randrange(1, 10**6))
+             for day, hh, minutes in (("20", "23", range(57, 60)), ("21", "00", range(0, 3)))
+             for mm in minutes for ss in range(60) for _ in range(rng.randrange(0, 2))]
+    store, config = tmp_path / "store", tmp_path / "config.json"
+    config.write_text(json.dumps({"occupancy": {"min_samples": 2, "history_capacity": 3}}))
+    ingest(store, config, tmp_path, lines)
+    common = ("--camera", 1, "--store", store, "--config", config)
+    rc, live = run("occupancy", "--live", "--to", "2023-10-21T00:03:30Z", *common)
+    assert rc == 0
+    rows = {json.loads(line)["window_start"]: line for line in live.splitlines(keepends=True)}
+    assert {row.split('"level":"')[1].split('"')[0] for row in rows.values()} == {"UNKNOWN", "LOW", "NORMAL", "HIGH"}
+    first = min(rows)
+    start = datetime.fromisoformat(first.replace("Z", "+00:00")) - timedelta(seconds=15)
+    for k in range(len(rows) + 3):
+        window = (start + timedelta(seconds=5 * k)).isoformat().replace("+00:00", "Z")
+        rc, out = run("occupancy", "--at", window[:-1] + ".25Z", *common)
+        if window < first:  # before any data: no history to rate against, and no --live line
+            assert rc == 1 and "has no records before" in capsys.readouterr().err
+        else:
+            assert rc == 0 and out == rows[window].replace(f'"window_start":"{window}",', ""), window
+
+
+@pytest.mark.parametrize("argv", [
+    ("occupancy", "--at", "9999-12-31T23:59:59Z"),
+    ("occupancy", "--live", "--to", "9999-12-31T23:59:59Z"),
+    ("anomaly", "--replay", "2023-10-16T09:00:00Z..9999-12-31T23:59:59Z"),
+])
+def test_ranges_past_the_window_limit_exit_1_without_allocating(tmp_path, capsys, argv):
+    store = tmp_path / "store"
+    src = tmp_path / "one.jsonl"
+    src.write_text(make_line(record_time="2023-10-16T09:00:01Z") + "\n")
+    assert run("ingest", src, "--store", store)[0] == 0
+    tracemalloc.start()
+    try:
+        rc, out = run(*argv, "--camera", 1, "--store", store)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 1 and out in ("", "window_start,count,mean,std,z,is_anomaly\n")
+    assert "RangeTooLong" in capsys.readouterr().err
+    assert peak < 1 << 20  # the grid asked for would be 8 bytes a window, ~5e10 windows

@@ -5,25 +5,18 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from svaa import occupancy
 from svaa.errors import EmptyHistory
-from svaa.occupancy import (
-    BucketKey,
-    BucketSamples,
-    DayClass,
-    Level,
-    OccupancyLevel,
-    bucket_key_for,
-    classify_occupancy,
-    percentile_nearest_rank,
-    replay,
-)
-from svaa.timeutil import US_PER_HOUR, date_to_day, to_us
+from svaa.occupancy import BucketKey, DayClass, Level, OccupancyLevel, bucket_keys, bucket_slot, classify_slot, replay
+from svaa.timeutil import date_to_day, to_us
 
 from conftest import make_line, store_from_lines, utc
+from oracle import BucketSamples, classify_occupancy, percentile_nearest_rank, replay_levels
 
 
 def sort_oracle(values, p):
@@ -157,6 +150,10 @@ def test_growing_sample_never_lowers_p75(history, extra):
     assert percentile_nearest_rank(history + [bigger], 75) >= p75_before
 
 
+def bucket_key_for(camera_id: int, us: int, holidays: frozenset[int] = frozenset()) -> BucketKey:
+    return bucket_keys(camera_id)[int(bucket_slot(us, holidays))]
+
+
 class TestBucketKey:
     def test_weekday_vs_weekend(self):
         monday = to_us(utc(2023, 10, 16, 9))
@@ -229,3 +226,54 @@ class TestReplay:
                                    t0=utc(2023, 10, 16, 9), t1=utc(2023, 10, 16, 9, 0, 10)))
         assert observations[0].result.level == Level.UNKNOWN  # empty history at step 1
         assert observations[1].result.p75 == 3  # now history holds the first window
+
+
+@st.composite
+def count_streams(draw):
+    """One bucket's counts, a capacity of 1-64, min_samples near the length, and a kernel block size."""
+    n = draw(st.integers(0, 200))
+    top = draw(st.sampled_from((1, 3, 12, 200)))
+    counts = draw(st.lists(st.integers(0, top), min_size=n, max_size=n))
+    capacity = draw(st.integers(1, 64))
+    min_samples = draw(st.integers(max(n - 3, 1), n + 3) | st.integers(1, min(capacity, n) + 3))
+    block_cells = draw(st.sampled_from((1, 5, 64, occupancy._BLOCK_CELLS)))
+    return counts, capacity, min_samples, block_cells
+
+
+@given(count_streams())
+@settings(max_examples=150, deadline=None)
+def test_kernel_matches_the_scalar_replay(stream):
+    counts, capacity, min_samples, block_cells = stream
+    saved = occupancy._BLOCK_CELLS
+    occupancy._BLOCK_CELLS = block_cells  # small blocks: each block's FIFO starts mid-stream
+    try:
+        level, p25, p75 = classify_slot(np.array(counts, dtype=np.int64), capacity, min_samples)
+    finally:
+        occupancy._BLOCK_CELLS = saved
+    want = replay_levels(counts, [0] * len(counts), capacity, min_samples)
+    assert level.tolist() == [r.level for r in want]
+    assert p25.tolist() == [-1 if r.p25 is None else r.p25 for r in want]
+    assert p75.tolist() == [-1 if r.p75 is None else r.p75 for r in want]
+
+
+class TestKernel:
+    def test_eviction_at_the_capacity_boundary(self):
+        counts = np.array([5, 5, 0, 0, 0, 9, 1], dtype=np.int64)
+        level, p25, p75 = classify_slot(counts, capacity=3, min_samples=3)
+        # window 4 sees [5, 0, 0], window 5 [0, 0, 0] (both fives evicted), window 6 [0, 0, 9]
+        assert p25.tolist() == [-1, -1, -1, 0, 0, 0, 0]
+        assert p75.tolist() == [-1, -1, -1, 5, 5, 0, 9]
+        assert level.tolist() == [Level.UNKNOWN] * 3 + [Level.LOW, Level.LOW, Level.HIGH, Level.NORMAL]
+
+    def test_empty_slot(self):
+        assert [c.tolist() for c in classify_slot(np.zeros(0, dtype=np.int64))] == [[], [], []]
+
+    def test_min_samples_beyond_capacity_stays_unknown(self):
+        level, p25, _ = classify_slot(np.arange(50, dtype=np.int64), capacity=10, min_samples=11)
+        assert set(level.tolist()) == {Level.UNKNOWN} and set(p25.tolist()) == {-1}
+
+    def test_parameter_domain(self):
+        with pytest.raises(ValueError):
+            classify_slot(np.ones(3, dtype=np.int64), capacity=0)
+        with pytest.raises(EmptyHistory):  # the first window would be rated against no history
+            classify_slot(np.ones(3, dtype=np.int64), min_samples=0)

@@ -5,23 +5,36 @@ from __future__ import annotations
 import json
 import random
 from datetime import datetime, timedelta
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from svaa.errors import InvalidBBox, InvalidTimestamp, InvertedRange, MalformedLine, StoreUnwritable
+from svaa.errors import InvalidBBox, InvalidTimestamp, InvertedRange, MalformedLine, RangeTooLong, StoreUnwritable
 from svaa.records import (
+    MAX_SERIES_WINDOWS,
     RecordStore,
     format_record,
     ingest_stream,
-    interval_counts,
     parse_record,
     query_window,
+    window_count_series,
 )
-from svaa.timeutil import WINDOW_US, format_rfc3339, from_us, parse_rfc3339, to_us
+from svaa.timeutil import WINDOW_US, format_rfc3339, from_us, parse_rfc3339, to_us, window_days
 
 from conftest import make_line, store_from_lines, utc
+
+
+class IntervalCount(NamedTuple):
+    window_start: datetime
+    count: int
+
+
+def interval_counts(store, camera_id, t0, t1) -> list[IntervalCount]:
+    """window_count_series over [t0, t1) as one row per window."""
+    starts, counts = window_count_series(store, camera_id, to_us(t0), to_us(t1))
+    return [IntervalCount(from_us(s), c) for s, c in zip(starts.tolist(), counts.tolist())]
 
 
 class TestParseRecord:
@@ -413,6 +426,24 @@ def test_window_tallies_partition_record_count(rows):
                 1 for sec, cam, cls, gid in rows if cam == camera and w0 <= sec < w0 + 5
             )
         assert per_window_rows == len(query_window(store, {camera}, t0, t1))
+
+
+def test_window_count_series_refuses_a_range_past_the_limit_before_allocating():
+    store = store_from_lines([make_line()])
+    t0 = to_us(utc(2023, 10, 16))
+    assert len(window_count_series(store, 1, t0, t0 + 17_280 * WINDOW_US)[0]) == 17_280
+    with pytest.raises(RangeTooLong):  # an allocation of this size would fail: the check comes first
+        window_count_series(store, 1, t0, t0 + (MAX_SERIES_WINDOWS + 1) * WINDOW_US)
+
+
+def test_window_days_split_at_midnight():
+    t0 = to_us(utc(2023, 10, 16, 23, 59, 50))
+    starts = [t0 + k * WINDOW_US for k in range(17_283)]
+    days = list(window_days(starts))
+    assert [(lo, hi, date) for lo, hi, date, _ in days] == [
+        (0, 2, "2023-10-16"), (2, 17_282, "2023-10-17"), (17_282, 17_283, "2023-10-18")]
+    assert [date + time for _, _, date, times in days for time in times] == [format_rfc3339(us) for us in starts]
+    assert list(window_days([])) == []
 
 
 def test_interval_counts_idempotent():
