@@ -12,8 +12,10 @@ from .records import (
     BoundingBox,
     DetectionRecord,
     IngestReport,
+    IntervalCount,
     RecordStore,
     ingest_stream,
+    interval_counts,
     parse_record,
     query_window,
 )
@@ -22,8 +24,10 @@ __all__ = [
     "BoundingBox",
     "DetectionRecord",
     "IngestReport",
+    "IntervalCount",
     "RecordStore",
     "ingest_stream",
+    "interval_counts",
     "parse_record",
     "query_window",
     "__version__",

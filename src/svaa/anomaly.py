@@ -12,7 +12,8 @@ correctly rounded. A per-window Welford loop, used before, accumulated
 rounding error instead: on busy streams a few printed means differ from it
 in the 9th significant digit; the flags agree.
 
-The buckets are occupancy's bucket frame: the same default replay range,
+The buckets are occupancy's bucket frame (`bucket_series`, `slot_rows`):
+the same default replay range,
 the same hour_of_day * 2 + weekend_or_holiday slot rule and the same 48
 keys per camera, so both replays read the same counts in the same buckets.
 """
@@ -25,7 +26,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .occupancy import BucketKey, bucket_keys, bucket_slot, replay_span
+from .occupancy import BucketKey, bucket_keys, bucket_series, slot_rows
 from .records import RecordStore, window_count_series
 from .timeutil import from_us, to_us
 
@@ -46,8 +47,7 @@ def prefix_moments(counts: np.ndarray, slots: np.ndarray) -> tuple[np.ndarray, n
     x = counts.astype(object if exact else np.int64, copy=False)
     n = np.zeros(len(x), dtype=np.int64)
     s, q = np.zeros_like(x), np.zeros_like(x)
-    for slot in np.unique(slots):
-        rows = np.flatnonzero(slots == slot)
+    for rows in slot_rows(slots):
         xs = x[rows]
         for column, terms in ((n, xs > 0), (s, xs), (q, xs * xs)):
             column[rows] = np.cumsum(terms) - terms
@@ -102,12 +102,10 @@ def moments(store: RecordStore, camera_id: int, *, holidays: frozenset[int] = fr
     None when there is nothing to replay. Bounds default to the camera's
     data extent.
     """
-    span = replay_span(store, camera_id, t0_us, t1_us)
-    if span is None:
+    frame = bucket_series(store, camera_id, t0_us, t1_us, holidays, series=window_count_series)
+    if frame is None:
         return None
-    starts, counts = window_count_series(store, camera_id, *span)
-    slots = bucket_slot(starts, holidays)
-    return Moments(starts, counts, slots, *prefix_moments(counts, slots))
+    return Moments(*frame, *prefix_moments(*frame[1:]))
 
 
 @dataclass(frozen=True, slots=True)

@@ -324,7 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("occupancy", parents=[common], help="LOW/NORMAL/HIGH against bucket history")
     p.add_argument("--camera", type=int, required=True)
     p.add_argument("--at", help="classify the 5-second window containing this timestamp")
-    p.add_argument("--live", action="store_true", help="replay the store, one line per window")
+    p.add_argument("--live", action="store_true",
+                   help="replay --from..--to (default: the camera's data extent), one line per window;"
+                        " a range over 366 days exits 1 with RangeTooLong")
     p.add_argument("--from", dest="time_from")
     p.add_argument("--to", dest="time_to")
     p.set_defaults(func=cmd_occupancy)

@@ -7,9 +7,10 @@ before the count itself is inserted. Zeros are retained in these histories
 (the zero-exclusion rule applies only to anomaly statistics).
 
 This module also owns the bucket frame that the anomaly replay reads the
-same counts through: the default replay range (`replay_span`), the bucket
-rule hour_of_day * 2 + weekend_or_holiday (`bucket_slot`) and the table of
-a camera's 48 bucket keys in slot order (`bucket_keys`).
+same counts through: the windows, counts and slots of a replay range
+(`bucket_series`), the bucket rule hour_of_day * 2 + weekend_or_holiday
+(`bucket_slot`), the rows of each slot (`slot_rows`) and the table of a
+camera's 48 bucket keys in slot order (`bucket_keys`).
 """
 
 from __future__ import annotations
@@ -21,12 +22,14 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import EmptyHistory
+from .errors import EmptyHistory, InvalidTimestamp
 from .records import RecordStore, window_count_series
-from .timeutil import WINDOW_US, epoch_day, from_us, hour_of_day, is_weekend, to_us, window_start
+from .timeutil import (US_PER_DAY, US_PER_HOUR, WINDOW_US, epoch_day, format_rfc3339, from_us, hour_of_day,
+                       is_weekend, to_us, window_start)
 
 DEFAULT_MIN_SAMPLES = 20  # below this a bucket classifies as UNKNOWN
 DEFAULT_CAPACITY = 10_080  # ~14 days of one hour-slot at 720 windows/hour
+_LAST_US = to_us(datetime.max)  # 9999-12-31T23:59:59.999999Z, the last instant RFC 3339 writes
 
 
 class DayClass(enum.Enum):
@@ -72,22 +75,34 @@ def bucket_keys(camera_id: int) -> list[BucketKey]:
     ]
 
 
-def replay_span(
-    store: RecordStore,
-    camera_id: int,
-    t0_us: int | None,
-    t1_us: int | None,
-) -> tuple[int, int] | None:
-    """A replay's [t0, t1) in epoch microseconds; None when there is nothing to replay.
+def bucket_key_for(camera_id: int, us: int, holidays: frozenset[int] = frozenset()) -> BucketKey:
+    """Bucket for a timestamp: hour of day plus weekday/weekend-or-holiday split."""
+    return bucket_keys(camera_id)[int(bucket_slot(us, holidays))]
 
-    A missing bound defaults to the camera's data extent on the window grid.
+
+def bucket_series(store: RecordStore, camera_id: int, t0_us: int | None, t1_us: int | None,
+                  holidays: frozenset[int] = frozenset(), series=None,
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """A replay's window starts, counts and bucket slots over [t0, t1) in epoch microseconds.
+
+    None when there is nothing to replay. A missing bound defaults to the
+    camera's data extent on the window grid. series stands in for
+    window_count_series, looked up when called: anomaly passes its own
+    module's name for it, so each replay's calls go through its own module.
     """
     bounds = store.time_bounds(camera_id)
     if bounds is None and (t0_us is None or t1_us is None):
         return None
     t0_us = t0_us if t0_us is not None else window_start(bounds[0])
     t1_us = t1_us if t1_us is not None else window_start(bounds[1]) + WINDOW_US
-    return t0_us, t1_us
+    starts, counts = (series or window_count_series)(store, camera_id, t0_us, t1_us)
+    return starts, counts, bucket_slot(starts, holidays)
+
+
+def slot_rows(slots: np.ndarray) -> Iterator[np.ndarray]:
+    """The row indices of each bucket slot present in slots, in time order."""
+    for slot in np.unique(slots):
+        yield np.flatnonzero(slots == slot)
 
 
 _BLOCK_CELLS = 1 << 15  # histogram cells per block of windows: bounds the kernel's scratch memory
@@ -159,14 +174,12 @@ def levels(store: RecordStore, camera_id: int, *, holidays: frozenset[int] = fro
     None when there is nothing to replay. Bounds default to the camera's own
     data extent.
     """
-    span = replay_span(store, camera_id, t0_us, t1_us)
-    if span is None:
+    frame = bucket_series(store, camera_id, t0_us, t1_us, holidays)
+    if frame is None:
         return None
-    starts, counts = window_count_series(store, camera_id, *span)
-    slots = bucket_slot(starts, holidays)
+    starts, counts, slots = frame
     columns = (np.zeros(len(counts), dtype=np.int8), np.full(len(counts), -1), np.full(len(counts), -1))
-    for slot in np.unique(slots):
-        rows = np.flatnonzero(slots == slot)
+    for rows in slot_rows(slots):
         for column, values in zip(columns, classify_slot(counts[rows], capacity, min_samples)):
             column[rows] = values
     return Levels(starts, counts, slots, *columns)
@@ -176,17 +189,31 @@ def level_at(store: RecordStore, camera_id: int, at_us: int, *, holidays: frozen
              min_samples: int = DEFAULT_MIN_SAMPLES, capacity: int = DEFAULT_CAPACITY) -> Levels | None:
     """The window holding at_us as one-row Levels, rated as by levels() from the camera's data start.
 
-    Only the target's bucket slot is classified. None when the camera has no
-    record before the end of that window.
+    A window is rated against at most capacity earlier windows of its bucket
+    slot, so only those are read: the target's hour on each earlier day of
+    the same day class, newest first, until capacity windows are in hand or
+    the data start is reached. None when the camera has no record before the
+    end of the target window. The window holding 9999-12-31T23:59:59Z ends
+    past the last RFC 3339 instant and is refused with InvalidTimestamp.
     """
     target = window_start(at_us)
+    if target + WINDOW_US > _LAST_US:
+        raise InvalidTimestamp(f"the window from {format_rfc3339(target)} ends after {format_rfc3339(_LAST_US)}")
     bounds = store.time_bounds(camera_id)
     if bounds is None or window_start(bounds[0]) > target:
         return None
-    starts, counts = window_count_series(store, camera_id, window_start(bounds[0]), target + WINDOW_US)
-    slots = bucket_slot(starts, holidays)
-    columns = classify_slot(counts[slots == slots[-1]], capacity, min_samples)
-    return Levels(starts[-1:], counts[-1:], slots[-1:], *(column[-1:] for column in columns))
+    first, slot = window_start(bounds[0]), bucket_slot(target, holidays)
+    runs, need = [], capacity + 1  # the target and a full FIFO before it
+    hour, t1 = target - target % US_PER_HOUR, target + WINDOW_US
+    while need and t1 > first:
+        if bucket_slot(hour, holidays) == slot:
+            runs.append(window_count_series(store, camera_id, max(hour, first, t1 - need * WINDOW_US), t1)[1])
+            need -= len(runs[-1])
+        hour -= US_PER_DAY
+        t1 = hour + US_PER_HOUR
+    counts = np.concatenate(runs[::-1])
+    columns = classify_slot(counts, capacity, min_samples)
+    return Levels(np.array([target]), counts[-1:], np.array([slot]), *(column[-1:] for column in columns))
 
 
 @dataclass(frozen=True, slots=True)

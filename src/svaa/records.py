@@ -100,6 +100,15 @@ class DetectionRecord:
         return to_us(self.record_time)
 
 
+@dataclass(frozen=True, slots=True)
+class IntervalCount:
+    """Distinct people seen by one camera in one 5-second window."""
+
+    camera_id: int
+    window_start: datetime
+    count: int
+
+
 @dataclass(slots=True)
 class IngestReport:
     accepted: int = 0
@@ -788,3 +797,16 @@ def window_count_series(
     times, gids = human_rows(store, [camera_id], t0_us, t1_us)
     return starts, distinct_counts(times, gids, t0_us, WINDOW_US, n)
 
+
+def interval_counts(
+    store: RecordStore,
+    camera_id: int,
+    t0: datetime,
+    t1: datetime,
+) -> list[IntervalCount]:
+    """One IntervalCount per 5-second window in [t0, t1), zero windows included."""
+    starts, counts = window_count_series(store, camera_id, to_us(t0), to_us(t1))
+    return [
+        IntervalCount(camera_id, from_us(int(s)), int(c))
+        for s, c in zip(starts.tolist(), counts.tolist())
+    ]

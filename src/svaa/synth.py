@@ -306,6 +306,26 @@ def write_stream(
     return n
 
 
+def profile_to_dict(profile: SimProfile) -> dict:
+    return {
+        "seed": profile.seed,
+        "weekend_multiplier": profile.weekend_multiplier,
+        "duration_range_s": list(profile.duration_range_s),
+        "height_frac_range": list(profile.height_frac_range),
+        "emission_period_s": profile.emission_period_s,
+        "holidays": [d.isoformat() for d in profile.holidays],
+        "cameras": [
+            {
+                "camera_id": c.camera_id,
+                "width": c.width,
+                "height": c.height,
+                "hourly_rate": list(c.hourly_rate),
+            }
+            for c in profile.cameras
+        ],
+    }
+
+
 def profile_from_dict(obj: dict) -> SimProfile:
     try:
         cameras = tuple(

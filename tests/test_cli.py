@@ -350,12 +350,12 @@ def test_at_equals_the_live_line_at_every_window(tmp_path, capsys):
             assert rc == 0 and out == rows[window].replace(f'"window_start":"{window}",', ""), window
 
 
-@pytest.mark.parametrize("argv", [
-    ("occupancy", "--at", "9999-12-31T23:59:59Z"),
-    ("occupancy", "--live", "--to", "9999-12-31T23:59:59Z"),
-    ("anomaly", "--replay", "2023-10-16T09:00:00Z..9999-12-31T23:59:59Z"),
+@pytest.mark.parametrize("argv, error", [
+    (("occupancy", "--at", "9999-12-31T23:59:59Z"), "InvalidTimestamp"),  # the window ends in year 10000
+    (("occupancy", "--live", "--to", "9999-12-31T23:59:59Z"), "RangeTooLong"),
+    (("anomaly", "--replay", "2023-10-16T09:00:00Z..9999-12-31T23:59:59Z"), "RangeTooLong"),
 ])
-def test_ranges_past_the_window_limit_exit_1_without_allocating(tmp_path, capsys, argv):
+def test_ranges_past_the_window_limit_exit_1_without_allocating(tmp_path, capsys, argv, error):
     store = tmp_path / "store"
     src = tmp_path / "one.jsonl"
     src.write_text(make_line(record_time="2023-10-16T09:00:01Z") + "\n")
@@ -367,5 +367,32 @@ def test_ranges_past_the_window_limit_exit_1_without_allocating(tmp_path, capsys
     finally:
         tracemalloc.stop()
     assert rc == 1 and out in ("", "window_start,count,mean,std,z,is_anomaly\n")
-    assert "RangeTooLong" in capsys.readouterr().err
+    assert error in capsys.readouterr().err
     assert peak < 1 << 20  # the grid asked for would be 8 bytes a window, ~5e10 windows
+
+
+def test_at_answers_with_history_older_than_the_window_limit(tmp_path, capsys):
+    """--at reads only a full FIFO of its bucket back, so a camera with 400 days of data still answers it."""
+    times = ["2022-09-11T09:00:00Z",  # 400 days before the Monday below
+             "2023-10-13T09:59:50Z", "2023-10-13T09:59:55Z",  # the Friday before: same bucket, one day-class run back
+             "2023-10-14T09:00:05Z",  # Saturday: another bucket
+             "2023-10-16T09:00:00Z", "2023-10-16T09:00:07Z", "2023-10-16T09:00:08Z", "2023-10-16T09:00:16Z"]
+    store, config = tmp_path / "store", tmp_path / "config.json"
+    config.write_text(json.dumps({"occupancy": {"min_samples": 2, "history_capacity": 3}}))
+    ingest(store, config, tmp_path, [make_line(record_time=t, global_id=k) for k, t in enumerate(times, 1)])
+    common = ("--camera", 1, "--store", store, "--config", config)
+    assert run("occupancy", "--live", *common)[0] == 1  # the default span is the data extent, over 366 days
+    assert "RangeTooLong" in capsys.readouterr().err
+    rc, live = run("occupancy", "--live", "--from", "2023-10-12T00:00:00Z", "--to", "2023-10-16T09:01:00Z", *common)
+    assert rc == 0
+    rows = {json.loads(line)["window_start"]: line for line in live.splitlines(keepends=True)}
+    seen = set()
+    for second in range(0, 60, 5):
+        window = f"2023-10-16T09:00:{second:02d}Z"
+        rc, out = run("occupancy", "--at", window, *common)
+        assert rc == 0 and out == rows[window].replace(f'"window_start":"{window}",', ""), window
+        seen.add(json.loads(out)["level"])
+    assert seen == {"NORMAL", "HIGH", "LOW"}
+    rc, out = run("occupancy", "--at", "9999-12-31T23:59:54Z", *common)  # a FIFO of empty windows, all past the data
+    assert rc == 0 and json.loads(out) == {"count": 0, "level": "LOW", "p25": 0, "p75": 0,
+                                           "bucket": "camera=1 hour=23 WEEKDAY"}

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from datetime import date
 
 import numpy as np
 import pytest
@@ -12,8 +13,18 @@ from hypothesis import strategies as st
 
 from svaa import occupancy
 from svaa.errors import EmptyHistory
-from svaa.occupancy import BucketKey, DayClass, Level, OccupancyLevel, bucket_keys, bucket_slot, classify_slot, replay
-from svaa.timeutil import date_to_day, to_us
+from svaa.occupancy import (
+    BucketKey,
+    DayClass,
+    Level,
+    OccupancyLevel,
+    bucket_key_for,
+    classify_slot,
+    level_at,
+    levels,
+    replay,
+)
+from svaa.timeutil import WINDOW_US, date_to_day, to_us, window_start
 
 from conftest import make_line, store_from_lines, utc
 from oracle import BucketSamples, classify_occupancy, percentile_nearest_rank, replay_levels
@@ -150,10 +161,6 @@ def test_growing_sample_never_lowers_p75(history, extra):
     assert percentile_nearest_rank(history + [bigger], 75) >= p75_before
 
 
-def bucket_key_for(camera_id: int, us: int, holidays: frozenset[int] = frozenset()) -> BucketKey:
-    return bucket_keys(camera_id)[int(bucket_slot(us, holidays))]
-
-
 class TestBucketKey:
     def test_weekday_vs_weekend(self):
         monday = to_us(utc(2023, 10, 16, 9))
@@ -277,3 +284,27 @@ class TestKernel:
             classify_slot(np.ones(3, dtype=np.int64), capacity=0)
         with pytest.raises(EmptyHistory):  # the first window would be rated against no history
             classify_slot(np.ones(3, dtype=np.int64), min_samples=0)
+
+
+@given(st.data())
+@settings(max_examples=25, deadline=None)
+def test_level_at_is_the_replay_from_the_data_start(data):
+    """level_at reads back only a full FIFO of its bucket, over earlier days of its day class, holidays included."""
+    days = range(12, 18)  # 2023-10-12 (a Thursday) to 2023-10-17
+    stamps = data.draw(st.lists(st.tuples(st.sampled_from(days), st.integers(0, 3599), st.integers(1, 4)),
+                                min_size=1, max_size=60))
+    store = store_from_lines([make_line(record_time=f"2023-10-{d}T09:{s // 60:02d}:{s % 60:02d}Z", global_id=g)
+                              for d, s, g in stamps])
+    holidays = frozenset(date_to_day(date(2023, 10, d)) for d in data.draw(st.sets(st.sampled_from(days))))
+    kwargs = dict(holidays=holidays, capacity=data.draw(st.integers(1, 1500)), min_samples=data.draw(st.integers(1, 40)))
+    targets = [to_us(utc(2023, 10, data.draw(st.sampled_from(days)), data.draw(st.sampled_from((9, 10))), 0, 0))
+               + data.draw(st.integers(0, 3599)) * 1_000_000 for _ in range(4)]
+    first = window_start(store.time_bounds(1)[0])
+    replayed = levels(store, 1, t1_us=max(max(targets) + WINDOW_US, first), **kwargs)
+    for target in targets:
+        got = level_at(store, 1, target, **kwargs)
+        if window_start(target) < first:
+            assert got is None
+            continue
+        row = (window_start(target) - first) // WINDOW_US
+        assert [column.tolist() for column in got] == [column[row:row + 1].tolist() for column in replayed]

@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import random
 from datetime import datetime, timedelta
-from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +16,7 @@ from svaa.records import (
     RecordStore,
     format_record,
     ingest_stream,
+    interval_counts,
     parse_record,
     query_window,
     window_count_series,
@@ -24,17 +24,6 @@ from svaa.records import (
 from svaa.timeutil import WINDOW_US, format_rfc3339, from_us, parse_rfc3339, to_us, window_days
 
 from conftest import make_line, store_from_lines, utc
-
-
-class IntervalCount(NamedTuple):
-    window_start: datetime
-    count: int
-
-
-def interval_counts(store, camera_id, t0, t1) -> list[IntervalCount]:
-    """window_count_series over [t0, t1) as one row per window."""
-    starts, counts = window_count_series(store, camera_id, to_us(t0), to_us(t1))
-    return [IntervalCount(from_us(s), c) for s, c in zip(starts.tolist(), counts.tolist())]
 
 
 class TestParseRecord:

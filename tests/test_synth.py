@@ -20,6 +20,7 @@ from svaa.synth import (
     generate_lines,
     load_profile,
     profile_from_dict,
+    profile_to_dict,
     write_stream,
 )
 from svaa.timeutil import date_to_day, is_weekend
@@ -217,27 +218,6 @@ class TestRateLaws:
         records, _ = generate(profile, T0, T1)  # Monday, but configured holiday
         distinct = len({r.global_id for r in records})
         assert distinct < 0.5 * 1440
-
-
-def profile_to_dict(profile: SimProfile) -> dict:
-    """The profile document that synth.load_profile reads."""
-    return {
-        "seed": profile.seed,
-        "weekend_multiplier": profile.weekend_multiplier,
-        "duration_range_s": list(profile.duration_range_s),
-        "height_frac_range": list(profile.height_frac_range),
-        "emission_period_s": profile.emission_period_s,
-        "holidays": [d.isoformat() for d in profile.holidays],
-        "cameras": [
-            {
-                "camera_id": c.camera_id,
-                "width": c.width,
-                "height": c.height,
-                "hourly_rate": list(c.hourly_rate),
-            }
-            for c in profile.cameras
-        ],
-    }
 
 
 class TestProfileIo:
