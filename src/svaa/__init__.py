@@ -12,23 +12,17 @@ from .records import (
     BoundingBox,
     DetectionRecord,
     IngestReport,
-    IntervalCount,
     RecordStore,
     ingest_stream,
-    interval_counts,
     parse_record,
-    query_window,
 )
 
 __all__ = [
     "BoundingBox",
     "DetectionRecord",
     "IngestReport",
-    "IntervalCount",
     "RecordStore",
     "ingest_stream",
-    "interval_counts",
     "parse_record",
-    "query_window",
     "__version__",
 ]

@@ -16,11 +16,12 @@ from datetime import date, datetime
 import numpy as np
 
 from .errors import CameraMismatch, InvalidBBox, InvalidConfig
-from .records import DetectionRecord, RecordStore, distinct_pairs, human_rows
+from .records import RecordStore, distinct_pairs, human_rows
 from .timeutil import (
     US_PER_DAY,
     WINDOW_US,
     date_to_day,
+    format_rfc3339,
     from_us,
     to_us,
     window_start,
@@ -67,45 +68,33 @@ class BevPoint:
     bev_y: float
 
 
-def scale_factor(normalized_h: float, cam: CameraConfig) -> float:
-    """Depth proxy tan(theta_mid) / max(normalized_h, 0.01).
-
-    Strictly decreasing in normalized height above the clamp: objects that
-    appear smaller are placed farther away.
-    """
-    return math.tan(cam.theta_mid_rad) / max(normalized_h, MIN_NORMALIZED_H)
-
-
 def _project(x, w, h, cam: CameraConfig):
-    """Shared projection kernel for a box's x, w and h in pixels; accepts scalars or numpy arrays."""
+    """(bev_x, bev_y) arrays for boxes' x, w and h in pixels; bev_y = tan(theta_mid) / max(h / height, 0.01)."""
     depth = math.tan(cam.theta_mid_rad) / np.maximum(h / cam.height, MIN_NORMALIZED_H)
     return ((x + w / 2.0) / cam.width - 0.5) * depth, depth
 
 
-def bev_transform(record: DetectionRecord, cam: CameraConfig) -> BevPoint:
-    """Project a single record's box into the camera's ground frame."""
-    if record.camera_id != cam.camera_id:
-        raise CameraMismatch(f"record from camera {record.camera_id}, config for {cam.camera_id}")
-    b = record.bbox
-    if b.w <= 0 or b.h <= 0 or b.x < 0 or b.y < 0 or b.x + b.w > cam.width or b.y + b.h > cam.height:
-        raise InvalidBBox(f"bbox {b} does not fit a {cam.width}x{cam.height} frame")
-    bev_x, bev_y = _project(b.x, b.w, b.h, cam)
-    return BevPoint(
-        global_id=record.global_id,
-        window_start=from_us(window_start(record.time_us)),
-        bev_x=float(bev_x),
-        bev_y=float(bev_y),
-    )
-
-
 def _averaged_points(
     store: RecordStore,
+    camera_id: int,
     cam: CameraConfig,
     t0_us: int,
     t1_us: int,
 ) -> list[BevPoint]:
-    """Per-(window, person) averaged boxes of one camera, projected once each."""
-    times, gids, x, w, h = human_rows(store, [cam.camera_id], t0_us, t1_us, ("times", "global_ids", "x", "w", "h"))
+    """Per-(window, person) averaged boxes of one camera, projected once each.
+
+    A box past the camera's configured frame is refused with InvalidBBox:
+    the projection reads a box's place in the frame, so it has no answer for one.
+    """
+    if camera_id != cam.camera_id:
+        raise CameraMismatch(f"asked for camera {camera_id} with config for {cam.camera_id}")
+    times, gids, x, y, w, h = human_rows(store, [cam.camera_id], t0_us, t1_us,
+                                         ("times", "global_ids", "x", "y", "w", "h"))
+    outside = np.flatnonzero((x + w > cam.width) | (y + h > cam.height))
+    if outside.size:
+        k = outside[0]
+        raise InvalidBBox(f"bbox [{x[k]:g}, {y[k]:g}, {w[k]:g}, {h[k]:g}] at {format_rfc3339(int(times[k]))} does not"
+                          f" fit the {cam.width}x{cam.height} frame of camera {cam.camera_id}")
     if not len(times):
         return []
     win = times // WINDOW_US
@@ -139,15 +128,11 @@ def window_bev(
     the averaged box is projected once, so the output length equals the
     window's distinct-person count.
     """
-    if camera_id != cam.camera_id:
-        raise CameraMismatch(f"asked for camera {camera_id} with config for {cam.camera_id}")
     ws = window_start(to_us(window_start_at))
-    return _averaged_points(store, cam, ws, ws + WINDOW_US)
+    return _averaged_points(store, camera_id, cam, ws, ws + WINDOW_US)
 
 
 def daily_bev(store: RecordStore, camera_id: int, cam: CameraConfig, day: date) -> list[BevPoint]:
     """Averaged BevPoints for every 5-second window of one UTC calendar day."""
-    if camera_id != cam.camera_id:
-        raise CameraMismatch(f"asked for camera {camera_id} with config for {cam.camera_id}")
     day_start = date_to_day(day) * US_PER_DAY
-    return _averaged_points(store, cam, day_start, day_start + US_PER_DAY)
+    return _averaged_points(store, camera_id, cam, day_start, day_start + US_PER_DAY)

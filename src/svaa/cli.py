@@ -18,7 +18,7 @@ import numpy as np
 
 from . import anomaly as anomaly_mod
 from . import birdseye, heatmap, metrics, occupancy, synth
-from .config import AppConfig, load_config
+from .config import COUNT, SECONDS, AppConfig, load_config, out_of_range
 from .errors import AnalyticsError, UnknownCamera
 from .records import RecordStore, ingest_stream
 from .timeutil import format_rfc3339, from_us, parse_date_utc, parse_rfc3339, to_us, window_days
@@ -36,6 +36,20 @@ def _load_config(args) -> AppConfig:
     if args.config:
         return load_config(args.config)
     return AppConfig()
+
+
+# out_of_range bounds of each numeric option, by its argparse name
+_OPTION_BOUNDS = {"top": COUNT, "sigma": dict(low=0), "gamma": dict(low=0, above=True),
+                  "cell_size": dict(low=0, above=True), "bucket": SECONDS, "staleness": SECONDS}
+
+
+def _check_options(args) -> None:
+    """Refuse a numeric option outside its bounds with a usage error, before any work is done."""
+    for name, bounds in _OPTION_BOUNDS.items():
+        value = getattr(args, name, None)
+        problem = None if value is None else out_of_range(value, **bounds)
+        if problem:
+            raise UsageError(f"--{name.replace('_', '-')} {problem}")
 
 
 def _open_store(args, config: AppConfig, create: bool = False) -> RecordStore:
@@ -185,7 +199,7 @@ def cmd_occupancy(args, config: AppConfig, out) -> int:
     kwargs = dict(
         holidays=config.holiday_days(),
         min_samples=config.occupancy_min_samples,
-        capacity=config.occupancy_capacity,
+        capacity=config.occupancy_history_capacity,
     )
     if args.live:
         series = occupancy.levels(
@@ -367,6 +381,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
     args = parser.parse_args(argv)
     out = out if out is not None else sys.stdout
     try:
+        _check_options(args)
         config = _load_config(args)
         return args.func(args, config, out)
     except UsageError as exc:

@@ -3,14 +3,31 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
-from datetime import date
+from datetime import date, timedelta
 from pathlib import Path
 
 from . import anomaly, occupancy
 from .birdseye import CameraConfig
 from .errors import InvalidConfig
 from .timeutil import date_to_day
+
+# out_of_range bounds: for seconds whose timedelta is at least 1 microsecond and fits the type, and for a count
+SECONDS = dict(low=5e-7, above=True, high=86_400.0 * (timedelta.max.days + 1))
+COUNT = dict(low=1, integer=True)
+# out_of_range bounds of each numeric parameter, by document key; its AppConfig field is the key with "_" for "."
+_NUMBERS = {"occupancy.min_samples": COUNT, "occupancy.history_capacity": COUNT,
+            "anomaly.min_samples": dict(low=0, integer=True), "heatmap.cols": COUNT, "heatmap.rows": COUNT,
+            "heatmap.sigma": dict(low=0), "heatmap.gamma": dict(low=0, above=True), "staleness_s": SECONDS}
+
+
+def out_of_range(value, low: float, high: float = math.inf, integer: bool = False, above: bool = False) -> str | None:
+    """Why value is not a number (an int if integer; never a bool) in [low, high), or (low, high) if above; else None."""
+    kinds = (int,) if integer else (int, float)
+    if type(value) in kinds and (value > low if above else value >= low) and value < high:
+        return None
+    return f"must be {'an integer' if integer else 'a number'} in {'(' if above else '['}{low:g}, {high:g}), got {value!r}"
 
 
 @dataclass(slots=True)
@@ -19,7 +36,7 @@ class AppConfig:
     cameras: list[CameraConfig] = field(default_factory=list)
     holidays: tuple[date, ...] = ()
     occupancy_min_samples: int = occupancy.DEFAULT_MIN_SAMPLES
-    occupancy_capacity: int = occupancy.DEFAULT_CAPACITY
+    occupancy_history_capacity: int = occupancy.DEFAULT_CAPACITY
     anomaly_min_samples: int = anomaly.DEFAULT_MIN_SAMPLES
     heatmap_mode: str = "fixed"
     heatmap_cols: int = 64
@@ -34,8 +51,10 @@ class AppConfig:
             raise InvalidConfig("camera ids must be unique")
         if self.heatmap_mode not in ("fixed", "extent"):
             raise InvalidConfig(f"heatmap_mode must be 'fixed' or 'extent', got {self.heatmap_mode!r}")
-        if self.staleness_s <= 0:
-            raise InvalidConfig("staleness must be positive")
+        for key, bounds in _NUMBERS.items():
+            problem = out_of_range(getattr(self, key.replace(".", "_")), **bounds)
+            if problem:
+                raise InvalidConfig(f"{key} {problem}")
 
     def camera_map(self) -> dict[int, CameraConfig]:
         return {c.camera_id: c for c in self.cameras}
@@ -69,7 +88,7 @@ def config_from_dict(obj: dict) -> AppConfig:
             cameras=cameras,
             holidays=tuple(date.fromisoformat(d) for d in obj.get("holidays", ())),
             occupancy_min_samples=occ.get("min_samples", occupancy.DEFAULT_MIN_SAMPLES),
-            occupancy_capacity=occ.get("history_capacity", occupancy.DEFAULT_CAPACITY),
+            occupancy_history_capacity=occ.get("history_capacity", occupancy.DEFAULT_CAPACITY),
             anomaly_min_samples=ano.get("min_samples", anomaly.DEFAULT_MIN_SAMPLES),
             heatmap_mode=heat.get("mode", "fixed"),
             heatmap_cols=heat.get("cols", 64),

@@ -75,11 +75,6 @@ def bucket_keys(camera_id: int) -> list[BucketKey]:
     ]
 
 
-def bucket_key_for(camera_id: int, us: int, holidays: frozenset[int] = frozenset()) -> BucketKey:
-    """Bucket for a timestamp: hour of day plus weekday/weekend-or-holiday split."""
-    return bucket_keys(camera_id)[int(bucket_slot(us, holidays))]
-
-
 def bucket_series(store: RecordStore, camera_id: int, t0_us: int | None, t1_us: int | None,
                   holidays: frozenset[int] = frozenset(), series=None,
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:

@@ -5,21 +5,24 @@ They are persisted verbatim into one append-only file per camera,
 `camera_NNNNN.jsonl`; queries run against per-camera in-memory indexes
 (time-sorted numpy columns) that are rebuilt lazily at the first read after
 an append. That rebuild point is the ingest boundary of the concurrency
-contract: a single writer appends, readers see immutable indexes.
+contract: a single writer appends, readers see immutable indexes. Ingest
+validates a line's optional `feature` and `batch_id` too, but no analytic
+reads them: they live only in the JSONL line, never in the columns.
 
 The JSONL files are the source of truth. Beside each one sits a columnar
 snapshot, `camera_NNNNN.snap.npz`, so that opening a store does not re-parse
 what was validated at ingest (a snapshot plus a log tail, as in an LSM
-tree). It holds the eight record columns in append order, the sparse
-feature/batch_id extras as JSON bytes, and a stamp: the length N of the
-newline-terminated file prefix whose rows it holds, and the SHA-256 of
-those N bytes. On open a snapshot is used only if N fits in the file and
-the digest of the file's first N bytes matches; otherwise the whole file is
-parsed. Either way only the bytes past the snapshot are parsed, with line
-numbers counted from the start of the file. Opening rewrites a missing or
-stale snapshot and close() refreshes the snapshot of every camera the
-handle appended to; both are best effort, a failure is logged and changes
-no answer. The zip container's CRC-32 guards the snapshot's own bytes.
+tree). It holds the eight record columns in append order and a stamp: the
+length N of the newline-terminated file prefix whose rows it holds, and the
+SHA-256 of those N bytes. Other members, such as the `extras` that older
+snapshots carry, are not read. On open a snapshot is used only if N fits
+in the file and the digest of the file's first N bytes matches; otherwise
+the whole file is parsed. Either way only the bytes past the snapshot are
+parsed, with line numbers counted from the start of the file. Opening
+rewrites a missing or stale snapshot and close() refreshes the snapshot of
+every camera the handle appended to; both are best effort, a failure is
+logged and changes no answer. The zip container's CRC-32 guards the
+snapshot's own bytes.
 
 One writer at a time: a handle takes an advisory `flock` on `<store>/.lock`
 at its first append and holds it until close(); a second writer gets
@@ -92,21 +95,12 @@ class DetectionRecord:
     bbox: BoundingBox
     local_id: int
     global_id: int
-    feature: str | None = None  # opaque pass-through, never interpreted
-    batch_id: object | None = None  # upstream tag, ignored by analytics
+    feature: str | None = None  # opaque blob, kept only in the stored JSONL line
+    batch_id: object | None = None  # upstream tag, kept only in the stored JSONL line
 
     @property
     def time_us(self) -> int:
         return to_us(self.record_time)
-
-
-@dataclass(frozen=True, slots=True)
-class IntervalCount:
-    """Distinct people seen by one camera in one 5-second window."""
-
-    camera_id: int
-    window_start: datetime
-    count: int
 
 
 @dataclass(slots=True)
@@ -225,7 +219,7 @@ def format_record(rec: DetectionRecord) -> str:
 class _CameraIndex:
     """Immutable time-sorted snapshot of one camera's columns."""
 
-    __slots__ = ("times", "class_ids", "global_ids", "local_ids", "x", "y", "w", "h", "rows")
+    __slots__ = ("times", "class_ids", "global_ids", "local_ids", "x", "y", "w", "h")
 
     def __init__(self, log: "_CameraLog"):
         times = np.frombuffer(log.times, dtype=np.int64)
@@ -238,7 +232,6 @@ class _CameraIndex:
         self.y = np.frombuffer(log.y, dtype=np.float64)[order]
         self.w = np.frombuffer(log.w, dtype=np.float64)[order]
         self.h = np.frombuffer(log.h, dtype=np.float64)[order]
-        self.rows = order  # original append positions, for sparse extras
 
     def __len__(self) -> int:
         return len(self.times)
@@ -263,7 +256,7 @@ _LINE_ERRORS = (MalformedLine, InvalidTimestamp, InvalidBBox)
 class _CameraLog:
     """Append buffers for one camera plus its lazily built index."""
 
-    __slots__ = ("times", "class_ids", "global_ids", "local_ids", "x", "y", "w", "h", "extras", "_index")
+    __slots__ = ("times", "class_ids", "global_ids", "local_ids", "x", "y", "w", "h", "_index")
 
     def __init__(self):
         self.times = array("q")
@@ -274,7 +267,6 @@ class _CameraLog:
         self.y = array("d")
         self.w = array("d")
         self.h = array("d")
-        self.extras: dict[int, tuple[str | None, object]] = {}
         self._index: _CameraIndex | None = None
 
     def __len__(self) -> int:
@@ -282,9 +274,7 @@ class _CameraLog:
 
     def append_fields(self, fields: tuple) -> None:
         """Append one row from a _parse_fields tuple."""
-        time_us, _, class_id, x, y, w, h, local_id, global_id, feature, batch_id = fields
-        if feature is not None or batch_id is not None:
-            self.extras[len(self.times)] = (feature, batch_id)
+        time_us, _, class_id, x, y, w, h, local_id, global_id, _, _ = fields
         self.times.append(time_us)
         self.class_ids.append(class_id)
         self.global_ids.append(global_id)
@@ -299,7 +289,6 @@ class _CameraLog:
         """Fill this empty log with a snapshot's rows, releasing its columns as they are copied."""
         for name, _ in _COLUMNS:
             getattr(self, name).frombytes(snap.columns.pop(name).view(np.uint8))
-        self.extras.update((row, (feature, batch_id)) for row, feature, batch_id in snap.extras)
         self._index = None
 
     def index(self) -> _CameraIndex:
@@ -320,15 +309,13 @@ class _Snapshot:
     covered: int  # length of the file prefix whose rows the columns hold
     digest: bytes  # SHA-256 of that prefix
     columns: dict[str, np.ndarray]
-    extras: list  # [row, feature, batch_id] for rows that carry either
 
 
 def _read_snapshot(path: Path) -> _Snapshot | None:
     """The snapshot at path, or None if it is missing or not well formed."""
     try:
         with np.load(path, allow_pickle=False) as z:
-            snap = _Snapshot(int(z["covered"]), z["sha256"].tobytes(),
-                             {name: z[name] for name, _ in _COLUMNS}, json.loads(z["extras"].tobytes()))
+            snap = _Snapshot(int(z["covered"]), z["sha256"].tobytes(), {name: z[name] for name, _ in _COLUMNS})
     except FileNotFoundError:
         return None
     except (OSError, ValueError, TypeError, KeyError, EOFError, zipfile.BadZipFile) as exc:
@@ -339,9 +326,6 @@ def _read_snapshot(path: Path) -> _Snapshot | None:
         snap.covered >= 0 and len(snap.digest) == 32
         and all(snap.columns[name].shape == (rows,) and snap.columns[name].dtype == _DTYPES[code]
                 for name, code in _COLUMNS)
-        and isinstance(snap.extras, list)
-        and all(type(e) is list and len(e) == 3 and type(e[0]) is int and 0 <= e[0] < rows
-                and (e[1] is None or type(e[1]) is str) for e in snap.extras)
     )
     if not well_formed:
         logger.warning("ignoring snapshot %s: columns or stamp not well formed", path)
@@ -488,15 +472,13 @@ class RecordStore:
 
     def _save_snapshot(self, f: _CameraFile, log: _CameraLog, rows: int) -> None:
         """Best effort: snapshot the log's first rows, which the file's first f.covered bytes hold."""
-        extras = [[row, feature, batch_id] for row, (feature, batch_id) in sorted(log.extras.items()) if row < rows]
         arrays = {name: np.frombuffer(getattr(log, name), dtype=_DTYPES[code])[:rows] for name, code in _COLUMNS}
         tmp = None
         try:
             with tempfile.NamedTemporaryFile(dir=f.path.parent, prefix=f".{f.snap.name}.", delete=False) as tmp:
                 os.fchmod(tmp.fileno(), f.path.stat().st_mode & 0o777)  # readable by whoever reads the file
                 np.savez(tmp, covered=np.int64(f.covered),
-                         sha256=np.frombuffer(f.sha.digest(), dtype=np.uint8),
-                         extras=np.frombuffer(json.dumps(extras).encode(), dtype=np.uint8), **arrays)
+                         sha256=np.frombuffer(f.sha.digest(), dtype=np.uint8), **arrays)
             os.replace(tmp.name, f.snap)
         except OSError as exc:
             # log the text only: a kept traceback would pin the views above and block appends
@@ -557,14 +539,6 @@ class RecordStore:
             logger.warning("%s: cut off a torn last line that holds no record", f.path)
         f.torn = b""
         f.torn_row = False
-
-    def append(self, rec: DetectionRecord, raw_line: str | None = None) -> None:
-        """Append one validated record; the raw line is persisted verbatim."""
-        self._append_fields(
-            (rec.time_us, rec.camera_id, rec.class_id, rec.bbox.x, rec.bbox.y,
-             rec.bbox.w, rec.bbox.h, rec.local_id, rec.global_id, rec.feature, rec.batch_id),
-            raw_line if raw_line is not None else format_record(rec),
-        )
 
     def _append_fields(self, fields: tuple, line: str) -> None:
         camera_id = fields[1]
@@ -647,22 +621,6 @@ class RecordStore:
             return None
         return lo, hi
 
-    def materialize(self, camera_id: int, position: int) -> DetectionRecord:
-        """Build a DetectionRecord from a sorted-index position."""
-        idx = self.index(camera_id)
-        row = int(idx.rows[position])
-        extras = self._logs[camera_id].extras.get(row, (None, None))
-        return DetectionRecord(
-            record_time=from_us(int(idx.times[position])),
-            camera_id=camera_id,
-            class_id=int(idx.class_ids[position]),
-            bbox=BoundingBox(float(idx.x[position]), float(idx.y[position]), float(idx.w[position]), float(idx.h[position])),
-            local_id=int(idx.local_ids[position]),
-            global_id=int(idx.global_ids[position]),
-            feature=extras[0],
-            batch_id=extras[1],
-        )
-
 
 def ingest_stream(source: Iterable[str], store: RecordStore) -> IngestReport:
     """Append every valid line from source; log and skip invalid ones.
@@ -698,32 +656,6 @@ def ingest_stream(source: Iterable[str], store: RecordStore) -> IngestReport:
         report.first_time = from_us(first_us)
         report.last_time = from_us(last_us)
     return report
-
-
-def _camera_selection(store: RecordStore, cameras: Iterable[int] | None) -> list[int]:
-    if cameras is None:
-        return store.camera_ids()
-    return sorted(set(cameras))
-
-
-def query_window(
-    store: RecordStore,
-    cameras: Iterable[int] | None,
-    t0: datetime,
-    t1: datetime,
-) -> list[DetectionRecord]:
-    """Records with t0 <= record_time < t1 on the given cameras (None = all), time-ordered."""
-    t0_us, t1_us = to_us(t0), to_us(t1)
-    if t0_us > t1_us:
-        raise InvertedRange(f"t0 {t0} is after t1 {t1}")
-    hits: list[tuple[int, int, int]] = []
-    for cid in _camera_selection(store, cameras):
-        idx = store.index(cid)
-        lo, hi = idx.slice(t0_us, t1_us)
-        times = idx.times
-        hits.extend((int(times[pos]), cid, pos) for pos in range(lo, hi))
-    hits.sort()
-    return [store.materialize(cid, pos) for _, cid, pos in hits]
 
 
 def distinct_pairs(major: np.ndarray, minor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -797,16 +729,3 @@ def window_count_series(
     times, gids = human_rows(store, [camera_id], t0_us, t1_us)
     return starts, distinct_counts(times, gids, t0_us, WINDOW_US, n)
 
-
-def interval_counts(
-    store: RecordStore,
-    camera_id: int,
-    t0: datetime,
-    t1: datetime,
-) -> list[IntervalCount]:
-    """One IntervalCount per 5-second window in [t0, t1), zero windows included."""
-    starts, counts = window_count_series(store, camera_id, to_us(t0), to_us(t1))
-    return [
-        IntervalCount(camera_id, from_us(int(s)), int(c))
-        for s, c in zip(starts.tolist(), counts.tolist())
-    ]

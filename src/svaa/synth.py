@@ -21,7 +21,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import InvalidProfile
-from .records import DetectionRecord, distinct_pairs, parse_record
+from .records import distinct_pairs
 from .timeutil import (
     US_PER_DAY,
     US_PER_HOUR,
@@ -245,12 +245,6 @@ def _generate_columns(profile: SimProfile, t0: datetime, t1: datetime) -> tuple[
     return per_camera, truth
 
 
-def generate(profile: SimProfile, t0: datetime, t1: datetime) -> tuple[list[DetectionRecord], GroundTruth]:
-    """Materialize the full record stream, time-sorted, plus its ground truth."""
-    lines, truth = generate_lines(profile, t0, t1)
-    return [parse_record(line) for line in lines], truth
-
-
 def generate_lines(profile: SimProfile, t0: datetime, t1: datetime) -> tuple[Iterator[str], GroundTruth]:
     """Time-sorted serialized record lines (without newlines) plus ground truth."""
     per_camera, truth = _generate_columns(profile, t0, t1)
@@ -304,26 +298,6 @@ def write_stream(
     if truth_path is not None:
         Path(truth_path).write_text(truth.to_csv(), encoding="utf-8")
     return n
-
-
-def profile_to_dict(profile: SimProfile) -> dict:
-    return {
-        "seed": profile.seed,
-        "weekend_multiplier": profile.weekend_multiplier,
-        "duration_range_s": list(profile.duration_range_s),
-        "height_frac_range": list(profile.height_frac_range),
-        "emission_period_s": profile.emission_period_s,
-        "holidays": [d.isoformat() for d in profile.holidays],
-        "cameras": [
-            {
-                "camera_id": c.camera_id,
-                "width": c.width,
-                "height": c.height,
-                "hourly_rate": list(c.hourly_rate),
-            }
-            for c in profile.cameras
-        ],
-    }
 
 
 def profile_from_dict(obj: dict) -> SimProfile:

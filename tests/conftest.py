@@ -6,7 +6,7 @@ from datetime import datetime, timezone
 
 import pytest
 
-from svaa.records import RecordStore, parse_record
+from svaa.records import RecordStore, ingest_stream
 
 
 def utc(*args: int) -> datetime:
@@ -37,9 +37,10 @@ def make_line(
 
 
 def store_from_lines(lines) -> RecordStore:
+    """A memory store holding every line, each of which must be valid."""
     store = RecordStore()
-    for line in lines:
-        store.append(parse_record(line), raw_line=line)
+    report = ingest_stream(lines, store)
+    assert report.rejected == 0
     return store
 
 

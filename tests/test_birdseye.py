@@ -1,4 +1,4 @@
-"""Ground-plane projection: formulas, averaging, and geometric properties."""
+"""Ground-plane projection: formulas, averaging, the frame check, and geometric properties."""
 
 from __future__ import annotations
 
@@ -13,13 +13,10 @@ from svaa.birdseye import (
     MIN_NORMALIZED_H,
     BevPoint,
     CameraConfig,
-    bev_transform,
     daily_bev,
-    scale_factor,
     window_bev,
 )
 from svaa.errors import CameraMismatch, InvalidBBox, InvalidConfig
-from svaa.records import BoundingBox, DetectionRecord
 from svaa.timeutil import format_rfc3339, to_us
 
 from conftest import make_line, store_from_lines, utc
@@ -27,12 +24,11 @@ from conftest import make_line, store_from_lines, utc
 CAM = CameraConfig(1, 1920, 1080, 50.0, 70.0, "test")  # theta_mid = 60 degrees
 
 
-def _record(bbox, gid=7, camera=1, when=None):
-    return DetectionRecord(
-        record_time=when or utc(2023, 10, 16, 9, 0, 2),
-        camera_id=camera, class_id=0,
-        bbox=BoundingBox(*bbox), local_id=1, global_id=gid,
-    )
+def _point(bbox, cam=CAM, when=utc(2023, 10, 16, 9, 0, 2)) -> BevPoint:
+    """The one point window_bev gives for a memory store that holds one box."""
+    line = make_line(record_time=format_rfc3339(to_us(when)), camera_id=cam.camera_id, bbox=bbox, global_id=7)
+    (point,) = window_bev(store_from_lines([line]), cam.camera_id, cam, when)
+    return point
 
 
 class TestCameraConfig:
@@ -52,24 +48,28 @@ class TestCameraConfig:
 
 
 class TestScaleFactor:
+    """The depth bev_y is tan(theta_mid) / max(normalized box height, 0.01)."""
+
     def test_full_height(self):
-        assert scale_factor(1.0, CAM) == pytest.approx(1.7320508, abs=1e-6)
+        assert _point((0, 0, 100, 1080)).bev_y == pytest.approx(1.7320508, abs=1e-6)
 
     def test_half_height_doubles(self):
-        assert scale_factor(0.5, CAM) == pytest.approx(3.4641016, abs=1e-6)
+        assert _point((0, 0, 100, 540)).bev_y == pytest.approx(3.4641016, abs=1e-6)
 
-    def test_zero_clamps(self):
-        assert scale_factor(0.0, CAM) == pytest.approx(math.tan(math.radians(60)) / 0.01)
+    def test_zero_clamps(self):  # a 1-pixel box is below the clamp
+        assert _point((0, 0, 100, 1)).bev_y == pytest.approx(math.tan(math.radians(60)) / 0.01)
 
     def test_strictly_decreasing_above_clamp(self):
         heights = [0.02, 0.1, 0.3, 0.5, 0.9, 1.0]
-        depths = [scale_factor(h, CAM) for h in heights]
+        depths = [_point((0, 0, 100, h * 1080)).bev_y for h in heights]
         assert all(a > b for a, b in zip(depths, depths[1:]))
 
 
 class TestBevTransform:
+    """One box, projected through window_bev."""
+
     def test_formula_recomputation(self):
-        point = bev_transform(_record((100, 200, 50, 100)), CAM)
+        point = _point((100, 200, 50, 100))
         normalized_h = 100 / 1080
         depth = math.tan(math.radians(60.0)) / max(normalized_h, MIN_NORMALIZED_H)
         cx = 100 + 50 / 2
@@ -79,24 +79,30 @@ class TestBevTransform:
         assert point.bev_x == pytest.approx(-8.135226, abs=1e-5)
 
     def test_centered_box_on_axis(self):
-        point = bev_transform(_record((1920 / 2 - 25, 200, 50, 100)), CAM)
+        point = _point((1920 / 2 - 25, 200, 50, 100))
         assert point.bev_x == 0.0
 
     def test_taller_means_nearer(self):
-        near = bev_transform(_record((935, 100, 50, 400)), CAM)
-        far = bev_transform(_record((935, 100, 50, 200)), CAM)
+        near = _point((935, 100, 50, 400))
+        far = _point((935, 100, 50, 200))
         assert near.bev_y < far.bev_y
 
-    def test_camera_mismatch(self):
+    def test_camera_mismatch(self, mem_store):
         with pytest.raises(CameraMismatch):
-            bev_transform(_record((0, 0, 10, 10), camera=2), CAM)
+            daily_bev(mem_store, 2, CAM, utc(2023, 10, 16).date())
 
     def test_bbox_must_fit_frame(self):
-        with pytest.raises(InvalidBBox):
-            bev_transform(_record((1900, 0, 50, 100)), CAM)
+        assert _point((1870, 980, 50, 100)).bev_y > 0  # touches the right and bottom edges
+        for box in ((1900, 0, 50, 100), (0, 1000, 50, 100)):
+            store = store_from_lines([make_line(bbox=(100, 200, 50, 100), global_id=1),
+                                      make_line(bbox=box, global_id=2, local_id=2)])
+            with pytest.raises(InvalidBBox, match="does not fit the 1920x1080 frame of camera 1"):
+                window_bev(store, 1, CAM, utc(2023, 10, 16, 9))
+            with pytest.raises(InvalidBBox):
+                daily_bev(store, 1, CAM, utc(2023, 10, 16).date())
 
     def test_window_start_aligned(self):
-        point = bev_transform(_record((100, 200, 50, 100), when=utc(2023, 10, 16, 9, 0, 7)), CAM)
+        point = _point((100, 200, 50, 100), when=utc(2023, 10, 16, 9, 0, 7))
         assert point.window_start == utc(2023, 10, 16, 9, 0, 5)
 
 
@@ -134,9 +140,7 @@ class TestWindowBev:
     def test_average_then_project(self):
         store = store_from_lines(_window_lines({9: [(100, 200, 50, 80), (120, 210, 54, 120)]}))
         (point,) = window_bev(store, 1, CAM, self.WINDOW)
-        averaged = _record(((100 + 120) / 2, (200 + 210) / 2, (50 + 54) / 2, 100.0), gid=9,
-                           when=self.WINDOW)
-        expected = bev_transform(averaged, CAM)
+        expected = _point(((100 + 120) / 2, (200 + 210) / 2, (50 + 54) / 2, 100.0), when=self.WINDOW)
         assert point.bev_x == pytest.approx(expected.bev_x, rel=1e-12)
         assert point.bev_y == pytest.approx(expected.bev_y, rel=1e-12)
 
@@ -209,8 +213,7 @@ def test_depth_monotone_in_height(box, h1, h2):
     cx_frac = 0.4
     def project(h):
         bx = cx_frac * 1920 - w / 2
-        rec = _record((min(max(bx, 0), 1920 - w), 0, w, h))
-        return bev_transform(rec, CAM)
+        return _point((min(max(bx, 0), 1920 - w), 0, w, h))
     assert project(h_big).bev_y < project(h_small).bev_y
 
 
@@ -218,9 +221,8 @@ def test_depth_monotone_in_height(box, h1, h2):
 @settings(max_examples=150)
 def test_scale_invariance_under_2x(box):
     x, y, w, h = box
-    small = bev_transform(_record((x, y, w, h)), CAM)
-    big_cam = CameraConfig(1, 3840, 2160, 50.0, 70.0, "test")
-    big = bev_transform(_record((2 * x, 2 * y, 2 * w, 2 * h)), big_cam)
+    small = _point((x, y, w, h))
+    big = _point((2 * x, 2 * y, 2 * w, 2 * h), CameraConfig(1, 3840, 2160, 50.0, 70.0, "test"))
     assert big.bev_x == pytest.approx(small.bev_x, abs=1e-12)
     assert big.bev_y == pytest.approx(small.bev_y, rel=1e-12)
 
@@ -232,14 +234,14 @@ def test_left_right_order_preserved(h, x1, x2):
         return
     lo, hi = sorted((x1, x2))
     w = 100
-    a = bev_transform(_record((lo, 0, w, h)), CAM)
-    b = bev_transform(_record((hi, 0, w, h)), CAM)
+    a = _point((lo, 0, w, h))
+    b = _point((hi, 0, w, h))
     assert a.bev_x < b.bev_x
 
 
 @given(in_frame_box())
 @settings(max_examples=100)
 def test_lateral_extent_bounded_by_depth(box):
-    point = bev_transform(_record(box), CAM)
+    point = _point(box)
     assert point.bev_y > 0
     assert abs(point.bev_x) <= 0.5 * point.bev_y + 1e-12

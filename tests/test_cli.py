@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from svaa import cli, synth
-from svaa.records import RecordStore, parse_record
+from svaa.records import RecordStore, ingest_stream
 
 from conftest import make_line
 
@@ -240,7 +240,7 @@ def test_configured_camera_without_location(reference, config, tmp_path):
 def test_second_writer_exits_1(reference, tmp_path, capsys):
     store, _ = reference
     holder = RecordStore(store)
-    holder.append(parse_record(make_line(global_id=1)))
+    ingest_stream([make_line(global_id=1)], holder)
     try:
         src = tmp_path / "more.jsonl"
         src.write_text(make_line(camera_id=2, global_id=2) + "\n")
@@ -396,3 +396,79 @@ def test_at_answers_with_history_older_than_the_window_limit(tmp_path, capsys):
     rc, out = run("occupancy", "--at", "9999-12-31T23:59:54Z", *common)  # a FIFO of empty windows, all past the data
     assert rc == 0 and json.loads(out) == {"count": 0, "level": "LOW", "p25": 0, "p75": 0,
                                            "bucket": "camera=1 hour=23 WEEKDAY"}
+
+
+def _tiny_store(tmp_path, boxes=((100, 200, 50, 100),)):
+    """A store of camera 1 with one record per box at 2023-10-16T09:00:01Z, and a config that sets camera 1."""
+    store, path = tmp_path / "store", tmp_path / "config.json"
+    path.write_text(json.dumps({"cameras": [{"camera_id": 1, "min_teta": 20.0, "max_teta": 60.0}]}))
+    ingest(store, path, tmp_path, [make_line(record_time=f"{DAY}T09:00:01Z", bbox=box, global_id=k)
+                                   for k, box in enumerate(boxes, 1)])
+    return store, path
+
+
+SPAN = ("--from", T0, "--to", T1)
+HEATMAP = ("heatmap", "--camera", 1, "--date", DAY)
+
+
+BAD_NUMBERS = [  # argv, config document, exit code, error class, start of its message
+    (("total", "--bucket", 0, *SPAN), {}, 2, "UsageError", "--bucket must be a number in (5e-07, "),
+    (("total", "--bucket", "0.0000001", *SPAN), {}, 2, "UsageError", "--bucket must be"),  # rounds to 0 µs
+    (("total", "--bucket", -60, *SPAN), {}, 2, "UsageError", "--bucket must be"),
+    (("total", "--bucket", "1e20", *SPAN), {}, 2, "UsageError", "--bucket must be"),  # past timedelta.max
+    (("peaks", "--all", "--top", 0, *SPAN), {}, 2, "UsageError", "--top must be an integer in [1, inf)"),
+    (("current", "--staleness", 0), {}, 2, "UsageError", "--staleness must be"),
+    (("current", "--staleness", "nan"), {}, 2, "UsageError", "--staleness must be"),
+    ((*HEATMAP, "--gamma", 0), {}, 2, "UsageError", "--gamma must be a number in (0, inf)"),
+    ((*HEATMAP, "--mode", "extent", "--cell-size", 0), {}, 2, "UsageError", "--cell-size must be"),
+    ((*HEATMAP, "--sigma", -1), {}, 2, "UsageError", "--sigma must be a number in [0, inf)"),
+    ((*HEATMAP, "--sigma", "inf"), {}, 2, "UsageError", "--sigma must be"),
+    (("occupancy", "--camera", 1, "--at", T0), {"occupancy": {"history_capacity": 0}}, 1, "InvalidConfig",
+     "occupancy.history_capacity must be an integer in [1, inf), got 0"),
+    (("occupancy", "--camera", 1, "--at", T0), {"occupancy": {"min_samples": 0}}, 1, "InvalidConfig",
+     "occupancy.min_samples must be"),
+    (("anomaly", "--camera", 1, "--replay", f"{T0}..{T1}"), {"anomaly": {"min_samples": -3}}, 1, "InvalidConfig",
+     "anomaly.min_samples must be an integer in [0, inf), got -3"),
+    (HEATMAP, {"heatmap": {"cols": 0}}, 1, "InvalidConfig", "heatmap.cols must be"),
+    (HEATMAP, {"heatmap": {"rows": 2.5}}, 1, "InvalidConfig", "heatmap.rows must be"),
+    (HEATMAP, {"heatmap": {"gamma": 0}}, 1, "InvalidConfig", "heatmap.gamma must be"),
+    (HEATMAP, {"heatmap": {"sigma": -1}}, 1, "InvalidConfig", "heatmap.sigma must be"),
+    (("current",), {"staleness_s": True}, 1, "InvalidConfig", "staleness_s must be"),
+]
+
+
+@pytest.mark.parametrize("argv, config, code, error, message", BAD_NUMBERS,
+                         ids=[f"{message.split()[0].lstrip('-')}-{code}-{error}" for *_, code, error, message in BAD_NUMBERS])
+def test_bad_numbers_end_in_a_typed_error(tmp_path, capsys, argv, config, code, error, message):
+    """Exit 2 is a UsageError ("svaa: <message>"); exit 1 an AnalyticsError ("svaa: <class>: <message>")."""
+    store, path = _tiny_store(tmp_path)
+    capsys.readouterr()
+    path.write_text(json.dumps({**json.loads(path.read_text()), **config}))
+    out = tmp_path / "heat.pgm"
+    rc, stdout = run(*argv, "--store", store, "--config", path, *(("--out", out) if argv[0] == "heatmap" else ()))
+    prefix = "svaa: " if error == "UsageError" else f"svaa: {error}: "
+    assert (rc, stdout) == (code, "") and capsys.readouterr().err.startswith(prefix + message)
+    assert not out.exists()
+
+
+def test_sigma_0_still_turns_smoothing_off(tmp_path):
+    store, config = _tiny_store(tmp_path)
+    peaks = []
+    for sigma in (0, 1):
+        rc, out = run(*HEATMAP, "--sigma", sigma, "--out", tmp_path / "heat.csv", "--store", store, "--config", config)
+        assert rc == 0
+        peaks.append(float(out.split()[1].removeprefix("peak=")))
+    assert peaks[0] == 1 > peaks[1]  # one point: unsmoothed, its cell holds all of the mass
+
+
+@pytest.mark.parametrize("command", [("bev", "--camera", 1, "--window", f"{DAY}T09:00:00Z"),
+                                     (*HEATMAP, "--out", "heat.pgm")])
+def test_box_past_the_configured_frame_exits_1(tmp_path, capsys, monkeypatch, command):
+    """A box must fit the camera's configured frame to be projected; 1900 + 50 > 1920."""
+    monkeypatch.chdir(tmp_path)
+    store, config = _tiny_store(tmp_path, boxes=((100, 200, 50, 100), (1900, 0, 50, 100)))
+    assert run(*command, "--store", store, "--config", config)[0] == 1
+    assert "InvalidBBox: bbox [1900, 0, 50, 100] at 2023-10-16T09:00:01Z does not fit the 1920x1080 frame of camera 1" \
+        in capsys.readouterr().err
+    config.write_text(json.dumps({"cameras": [{"camera_id": 1, "min_teta": 20.0, "max_teta": 60.0, "width": 1950}]}))
+    assert run(*command, "--store", store, "--config", config)[0] == 0

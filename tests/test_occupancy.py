@@ -18,7 +18,8 @@ from svaa.occupancy import (
     DayClass,
     Level,
     OccupancyLevel,
-    bucket_key_for,
+    bucket_keys,
+    bucket_slot,
     classify_slot,
     level_at,
     levels,
@@ -162,20 +163,23 @@ def test_growing_sample_never_lowers_p75(history, extra):
 
 
 class TestBucketKey:
+    """bucket_slot picks a timestamp's slot, and bucket_keys(camera)[slot] is its key."""
+
     def test_weekday_vs_weekend(self):
         monday = to_us(utc(2023, 10, 16, 9))
         saturday = to_us(utc(2023, 10, 14, 9))
-        assert bucket_key_for(1, monday).day_class == DayClass.WEEKDAY
-        assert bucket_key_for(1, saturday).day_class == DayClass.WEEKEND_OR_HOLIDAY
+        assert bucket_keys(1)[bucket_slot(monday)].day_class == DayClass.WEEKDAY
+        assert bucket_keys(1)[bucket_slot(saturday)].day_class == DayClass.WEEKEND_OR_HOLIDAY
 
     def test_holiday_override(self):
         thursday = to_us(utc(2023, 10, 12, 9))
         holidays = frozenset({date_to_day(utc(2023, 10, 12).date())})
-        assert bucket_key_for(1, thursday).day_class == DayClass.WEEKDAY
-        assert bucket_key_for(1, thursday, holidays).day_class == DayClass.WEEKEND_OR_HOLIDAY
+        assert bucket_keys(1)[bucket_slot(thursday)].day_class == DayClass.WEEKDAY
+        assert bucket_keys(1)[bucket_slot(thursday, holidays)].day_class == DayClass.WEEKEND_OR_HOLIDAY
 
     def test_hour_field(self):
-        assert bucket_key_for(3, to_us(utc(2023, 10, 16, 17, 59))).hour_of_day == 17
+        key = bucket_keys(3)[bucket_slot(to_us(utc(2023, 10, 16, 17, 59)))]
+        assert (key.camera_id, key.hour_of_day) == (3, 17)
 
 
 class TestReplay:

@@ -6,6 +6,7 @@ import json
 import random
 from datetime import datetime, timedelta
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,10 +16,9 @@ from svaa.records import (
     MAX_SERIES_WINDOWS,
     RecordStore,
     format_record,
+    human_rows,
     ingest_stream,
-    interval_counts,
     parse_record,
-    query_window,
     window_count_series,
 )
 from svaa.timeutil import WINDOW_US, format_rfc3339, from_us, parse_rfc3339, to_us, window_days
@@ -254,10 +254,10 @@ class TestPersistence:
 
         again = RecordStore(tmp_path / "store")
         assert again.camera_ids() == [1, 2]
-        recs = query_window(again, None, utc(2023, 10, 16), utc(2023, 10, 17))
-        assert [r.global_id for r in recs] == [1, 2, 3]
-        assert recs[1].feature == "fx"
-        assert recs[2].batch_id == 9
+        assert [again.index(c).global_ids.tolist() for c in (1, 2)] == [[1, 3], [2]]
+        # feature and batch_id are not columns: the camera files keep each line as it came
+        stored = [(tmp_path / "store" / f"camera_0000{c}.jsonl").read_text().splitlines() for c in (1, 2)]
+        assert stored == [[lines[0], lines[2]], [lines[1]]]
 
     def test_one_file_per_camera(self, tmp_path):
         store = RecordStore(tmp_path / "store")
@@ -267,34 +267,42 @@ class TestPersistence:
         assert names == ["camera_00003.jsonl", "camera_00007.jsonl"]
 
 
+def _span(t0: datetime, t1: datetime) -> tuple[int, int]:
+    return to_us(t0), to_us(t1)
+
+
 class TestQueryWindow:
+    """The rows of a time range on some cameras, as human_rows reads them from the index."""
+
     def test_empty_half_open(self):
         store = store_from_lines([make_line()])
         t = utc(2023, 10, 16, 9, 0, 0)
-        assert query_window(store, None, t, t) == []
+        times, gids = human_rows(store, [1], *_span(t, t))
+        assert len(times) == len(gids) == 0 and times.dtype == gids.dtype == np.int64
 
     def test_total_query(self):
         lines = [make_line(camera_id=c, global_id=g) for c, g in [(1, 1), (2, 2), (1, 3)]]
         store = store_from_lines(lines)
-        assert len(query_window(store, None, utc(2023, 1, 1), utc(2024, 1, 1))) == 3
+        (gids,) = human_rows(store, store.camera_ids(), *_span(utc(2023, 1, 1), utc(2024, 1, 1)), ("global_ids",))
+        assert gids.tolist() == [1, 3, 2]  # camera after camera
 
     def test_camera_filter(self):
         lines = [make_line(camera_id=c, global_id=c) for c in (1, 2, 3)]
         store = store_from_lines(lines)
-        got = query_window(store, {1, 3}, utc(2023, 1, 1), utc(2024, 1, 1))
-        assert sorted(r.camera_id for r in got) == [1, 3]
+        (gids,) = human_rows(store, [1, 3], *_span(utc(2023, 1, 1), utc(2024, 1, 1)), ("global_ids",))
+        assert gids.tolist() == [1, 3]
 
     def test_inverted_range(self, mem_store):
         with pytest.raises(InvertedRange):
-            query_window(mem_store, None, utc(2023, 10, 2), utc(2023, 10, 1))
+            window_count_series(mem_store, 1, *_span(utc(2023, 10, 2), utc(2023, 10, 1)))
 
     def test_half_open_boundaries(self):
         store = store_from_lines([
             make_line(record_time="2023-10-16T09:00:00Z", global_id=1),
             make_line(record_time="2023-10-16T09:00:05Z", global_id=2),
         ])
-        got = query_window(store, None, utc(2023, 10, 16, 9, 0, 0), utc(2023, 10, 16, 9, 0, 5))
-        assert [r.global_id for r in got] == [1]
+        (gids,) = human_rows(store, [1], *_span(utc(2023, 10, 16, 9, 0, 0), utc(2023, 10, 16, 9, 0, 5)), ("global_ids",))
+        assert gids.tolist() == [1]
 
 
 @st.composite
@@ -323,34 +331,36 @@ def _build(rows):
 @given(random_store_spec(), st.integers(0, 600), st.integers(0, 600), st.sets(st.integers(1, 3)))
 @settings(max_examples=60, deadline=None)
 def test_query_window_matches_linear_scan(rows, a, b, cameras):
+    """human_rows: the human rows in [t0, t1) camera after camera, each camera's in time then append order."""
     store, rows = _build(rows)
     t0s, t1s = min(a, b), max(a, b)
-    t0 = utc(2023, 10, 16) + timedelta(seconds=t0s)
-    t1 = utc(2023, 10, 16) + timedelta(seconds=t1s)
-    got = query_window(store, cameras or None, t0, t1)
-    want = sorted(
-        (sec, cam) for sec, cam, cls, gid in rows
-        if t0s <= sec < t1s and (not cameras or cam in cameras)
-    )
-    assert [(int((r.record_time - utc(2023, 10, 16)).total_seconds()), r.camera_id) for r in got] == want
-    times = [r.record_time for r in got]
-    assert times == sorted(times)
+    base = to_us(utc(2023, 10, 16))
+    times, gids, lids = human_rows(store, sorted(cameras), base + t0s * 1_000_000, base + t1s * 1_000_000,
+                                   ("times", "global_ids", "local_ids"))
+    want = [
+        (sec, gid, i + 1) for cam in sorted(cameras)
+        for sec, i, gid in sorted((sec, i, gid) for i, (sec, c, cls, gid) in enumerate(rows)
+                                  if c == cam and cls == 0 and t0s <= sec < t1s)
+    ]
+    assert list(zip(((times - base) // 1_000_000).tolist(), gids.tolist(), lids.tolist())) == want
 
 
 class TestIntervalCounts:
+    """Distinct people per 5-second window, from window_count_series."""
+
     def test_distinct_definition(self):
         store = store_from_lines([
             make_line(record_time="2023-10-16T09:00:01Z", global_id=7, local_id=1),
             make_line(record_time="2023-10-16T09:00:02Z", global_id=7, local_id=2),
             make_line(record_time="2023-10-16T09:00:03Z", global_id=9, local_id=3),
         ])
-        out = interval_counts(store, 1, utc(2023, 10, 16, 9, 0, 0), utc(2023, 10, 16, 9, 0, 5))
-        assert [c.count for c in out] == [2]
+        _, counts = window_count_series(store, 1, *_span(utc(2023, 10, 16, 9, 0, 0), utc(2023, 10, 16, 9, 0, 5)))
+        assert counts.tolist() == [2]
 
     def test_empty_window_is_zero(self):
         store = store_from_lines([make_line(record_time="2023-10-16T09:00:00Z")])
-        out = interval_counts(store, 1, utc(2023, 10, 16, 9, 0, 5), utc(2023, 10, 16, 9, 0, 15))
-        assert [c.count for c in out] == [0, 0]
+        _, counts = window_count_series(store, 1, *_span(utc(2023, 10, 16, 9, 0, 5), utc(2023, 10, 16, 9, 0, 15)))
+        assert counts.tolist() == [0, 0]
 
     def test_thirteen_records_nine_people(self):
         lines = []
@@ -359,62 +369,61 @@ class TestIntervalCounts:
             lines.append(make_line(record_time=f"2023-10-16T09:00:0{i % 5}Z",
                                    global_id=gid, local_id=i + 1))
         store = store_from_lines(lines)
-        out = interval_counts(store, 1, utc(2023, 10, 16, 9, 0, 0), utc(2023, 10, 16, 9, 0, 5))
-        assert out[0].count == 9
+        _, counts = window_count_series(store, 1, *_span(utc(2023, 10, 16, 9, 0, 0), utc(2023, 10, 16, 9, 0, 5)))
+        assert counts.tolist() == [9]
 
     def test_non_human_classes_ignored(self):
         store = store_from_lines([
             make_line(global_id=1, class_id=0),
             make_line(global_id=2, class_id=2),
         ])
-        out = interval_counts(store, 1, utc(2023, 10, 16, 9, 0, 0), utc(2023, 10, 16, 9, 0, 5))
-        assert out[0].count == 1
+        _, counts = window_count_series(store, 1, *_span(utc(2023, 10, 16, 9, 0, 0), utc(2023, 10, 16, 9, 0, 5)))
+        assert counts.tolist() == [1]
 
     def test_alignment_floors_both_ends(self):
         store = store_from_lines([make_line(record_time="2023-10-16T09:00:04Z")])
-        out = interval_counts(store, 1, utc(2023, 10, 16, 9, 0, 2), utc(2023, 10, 16, 9, 0, 13))
-        assert [to_us(c.window_start) % WINDOW_US for c in out] == [0, 0]
-        assert len(out) == 2  # [09:00:00, 09:00:10) after align-down
-        assert out[0].count == 1
+        starts, counts = window_count_series(store, 1, *_span(utc(2023, 10, 16, 9, 0, 2), utc(2023, 10, 16, 9, 0, 13)))
+        assert starts.tolist() == [to_us(utc(2023, 10, 16, 9, 0, 0)), to_us(utc(2023, 10, 16, 9, 0, 5))]
+        assert counts.tolist() == [1, 0]  # [09:00:00, 09:00:10) after align-down
 
     def test_window_starts_on_grid(self):
         store = store_from_lines([make_line()])
-        out = interval_counts(store, 1, utc(2023, 10, 16, 9), utc(2023, 10, 16, 9, 1))
-        assert all(to_us(c.window_start) % WINDOW_US == 0 for c in out)
-        assert len(out) == 12
+        starts, counts = window_count_series(store, 1, *_span(utc(2023, 10, 16, 9), utc(2023, 10, 16, 9, 1)))
+        assert (starts % WINDOW_US == 0).all() and (np.diff(starts) == WINDOW_US).all()
+        assert len(starts) == len(counts) == 12
 
 
 @given(random_store_spec())
 @settings(max_examples=60, deadline=None)
 def test_interval_counts_match_set_oracle(rows):
     store, rows = _build(rows)
-    t0, t1 = utc(2023, 10, 16, 0, 0, 0), utc(2023, 10, 16, 0, 10, 5)
+    base, end = _span(utc(2023, 10, 16, 0, 0, 0), utc(2023, 10, 16, 0, 10, 5))
     for camera in (1, 2, 3):
-        got = interval_counts(store, camera, t0, t1)
-        base = to_us(t0)
-        for entry in got:
-            w0 = (to_us(entry.window_start) - base) // 1_000_000
+        starts, counts = window_count_series(store, camera, base, end)
+        assert len(starts) == 121
+        for start, count in zip(starts.tolist(), counts.tolist()):
+            w0 = (start - base) // 1_000_000
             people = {
                 gid for sec, cam, cls, gid in rows
                 if cam == camera and cls == 0 and w0 <= sec < w0 + 5
             }
-            assert entry.count == len(people)
+            assert count == len(people)
 
 
 @given(random_store_spec())
 @settings(max_examples=40, deadline=None)
 def test_window_tallies_partition_record_count(rows):
     store, rows = _build(rows)
-    t0, t1 = utc(2023, 10, 16, 0, 0, 0), utc(2023, 10, 16, 0, 10, 0)
+    base, end = _span(utc(2023, 10, 16, 0, 0, 0), utc(2023, 10, 16, 0, 10, 0))
     for camera in (1, 2, 3):
         per_window_rows = 0
-        base = to_us(t0)
-        for entry in interval_counts(store, camera, t0, t1):
-            w0 = (to_us(entry.window_start) - base) // 1_000_000
+        for start in window_count_series(store, camera, base, end)[0].tolist():
+            w0 = (start - base) // 1_000_000
             per_window_rows += sum(
                 1 for sec, cam, cls, gid in rows if cam == camera and w0 <= sec < w0 + 5
             )
-        assert per_window_rows == len(query_window(store, {camera}, t0, t1))
+        lo, hi = store.index(camera).slice(base, end)
+        assert per_window_rows == hi - lo
 
 
 def test_window_count_series_refuses_a_range_past_the_limit_before_allocating():
@@ -443,6 +452,6 @@ def test_interval_counts_idempotent():
         for i in range(200)
     ]
     store = store_from_lines(lines)
-    a = interval_counts(store, 1, utc(2023, 10, 16), utc(2023, 10, 16, 0, 5))
-    b = interval_counts(store, 1, utc(2023, 10, 16), utc(2023, 10, 16, 0, 5))
-    assert a == b
+    a = window_count_series(store, 1, *_span(utc(2023, 10, 16), utc(2023, 10, 16, 0, 5)))
+    b = window_count_series(store, 1, *_span(utc(2023, 10, 16), utc(2023, 10, 16, 0, 5)))
+    assert all(np.array_equal(x, y) for x, y in zip(a, b)) and a[1].sum() > 0

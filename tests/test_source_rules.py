@@ -2,18 +2,24 @@
 
 records.py alone reads a camera's row index: no other module calls
 `.index(` on a store or imports HUMAN_CLASS. No module keeps a top-level
-import it never uses.
+import it never uses, and no top-level function or class is left that no
+command and no benchmark reaches.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "svaa"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "svaa"
 MODULES = sorted(SRC.glob("*.py"))
+# The record schema: the parser of a stored line and its canonical writer. No command calls them, but
+# they define the line format that ingest validates, and the parser property tests them as a pair.
+SCHEMA = frozenset({"parse_record", "format_record"})
 
 
 def _tree(path: Path) -> ast.Module:
@@ -67,6 +73,27 @@ def unused_imports(tree: ast.Module) -> list[str]:
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
+def _reads(node: ast.AST) -> set[str]:
+    """Names read under node, bare or as an attribute; an import or a string in __all__ is not a read."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) or isinstance(n, ast.Attribute)}
+
+
+def unreached(defining: dict[str, ast.Module], readers: dict[str, ast.Module], entry_points=frozenset()) -> list[str]:
+    """`module.name` of each top-level def or class that no reader reads outside the definition itself.
+
+    A local variable of the same name, anywhere in a reader, counts as a read: the rule may miss a
+    dead name, but it never flags a live one.
+    """
+    reads = [(stmt, _reads(stmt)) for tree in readers.values() for stmt in tree.body]
+    return [
+        f"{module}.{node.name}" for module, tree in defining.items() for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name not in SCHEMA | entry_points
+        and not any(node.name in names for stmt, names in reads if stmt is not node)
+    ]
+
+
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "records.py"], ids=lambda p: p.name)
 def test_only_records_reads_the_row_index(path):
     tree = _tree(path)
@@ -77,6 +104,16 @@ def test_only_records_reads_the_row_index(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_top_level_imports(path):
     assert unused_imports(_tree(path)) == []
+
+
+def test_every_top_level_name_is_reached_from_a_command_or_the_benchmark():
+    """Reached means read by a module of the package other than __init__.py, by perfbench, or a console script."""
+    readers = {p.name: _tree(p) for p in MODULES if p.name != "__init__.py"}
+    readers.update({f"perfbench/{p.name}": _tree(p) for p in sorted((ROOT / "perfbench").glob("*.py"))})
+    scripts = re.search(r"\[project\.scripts\]\n(.*?)(?:\n\[|$)", (ROOT / "pyproject.toml").read_text(), re.S)
+    entry_points = frozenset(re.findall(r":(\w+)\"", scripts.group(1)))
+    assert entry_points == {"entrypoint"}
+    assert unreached({p.name: _tree(p) for p in MODULES}, readers, entry_points) == []
 
 
 def test_the_rules_catch_what_they_forbid():
@@ -90,3 +127,19 @@ def test_the_rules_catch_what_they_forbid():
     assert index_reads(tree) == [4, 4, 4]
     assert human_class_uses(tree) == [2, 5]
     assert unused_imports(tree) == ["os (line 1)", "HUMAN_CLASS (line 2)"]
+
+    package = {
+        "a.py": ast.parse(
+            "def used(): pass\n"
+            "def dead(): return dead()\n"  # read only by itself
+            "class Node:\n"
+            "    def parent(self) -> Node: pass\n"  # likewise
+            "def by_attribute(): pass\n"
+            "def parse_record(): pass\n"
+            "def entry(): used()\n"
+        ),
+        "__init__.py": ast.parse("from .a import dead, by_attribute\n__all__ = ['dead', 'Node']\n"),
+    }
+    readers = {"a.py": package["a.py"], "perfbench/b.py": ast.parse("from svaa import a\na.by_attribute()\n")}
+    assert unreached(package, readers, frozenset({"entry"})) == ["a.py.dead", "a.py.Node"]
+    assert unreached(package, readers) == ["a.py.dead", "a.py.Node", "a.py.entry"]

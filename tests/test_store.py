@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import logging
 import shutil
 
@@ -9,9 +10,9 @@ import numpy as np
 import pytest
 
 from svaa.errors import MalformedLine, StoreLocked
-from svaa.records import RecordStore, ingest_stream, parse_record, query_window
+from svaa.records import RecordStore, ingest_stream
 
-from conftest import make_line, utc
+from conftest import make_line
 
 
 def _lines(n: int, camera: int = 1, **extra) -> list[str]:
@@ -24,9 +25,17 @@ def _build(root, lines) -> None:
         ingest_stream(lines, store)
 
 
+_COLUMNS = ("times", "class_ids", "global_ids", "local_ids", "x", "y", "w", "h")
+
+
 def _rows(store: RecordStore) -> list[tuple]:
-    recs = query_window(store, None, utc(2023, 1, 1), utc(2024, 1, 1))
-    return [(r.record_time, r.camera_id, r.global_id, r.feature, r.batch_id) for r in recs]
+    """(time, camera, global id, class, local id, x, y, w, h) of every stored row, by time, then camera, then index."""
+    rows = []
+    for camera in store.camera_ids():
+        idx = store.index(camera)
+        times, classes, gids, lids, *box = (getattr(idx, name).tolist() for name in _COLUMNS)
+        rows += [(t, camera, g, *rest) for t, g, *rest in zip(times, gids, classes, lids, *box)]
+    return sorted(rows, key=lambda row: row[:2])
 
 
 def _snapshot(root, camera: int = 1):
@@ -44,21 +53,6 @@ class TestSnapshot:
         raw_utf8 = make_line(record_time="2023-10-16T09:00:09Z", feature="@").replace("@", "Ünïcödé €")
         _build(root, _lines(4) + [raw_utf8])
         assert _snapshot(root) == (_jsonl(root).stat().st_size, 5)
-
-    def test_extras_round_trip(self, tmp_path):
-        root = tmp_path / "store"
-        lines = _lines(3) + [
-            make_line(record_time="2023-10-16T10:00:00Z", global_id=7, feature="AAAA//BBBB==", batch_id={"b": [1, 2.5]}),
-            make_line(record_time="2023-10-16T10:00:01Z", global_id=8, batch_id="b7"),
-        ]
-        _build(root, lines)
-        (root / "camera_00001.snap.npz").unlink()
-        expected = _rows(RecordStore(root))  # parsed; this open rewrites the snapshot
-        assert _snapshot(root)[1] == 5
-        rows = _rows(RecordStore(root))
-        assert rows == expected
-        assert rows[3][3:] == ("AAAA//BBBB==", {"b": [1, 2.5]})
-        assert rows[4][3:] == (None, "b7")
 
     def test_stale_snapshot_parses_only_the_tail(self, tmp_path):
         root = tmp_path / "store"
@@ -124,7 +118,7 @@ class TestSnapshot:
         _build(root, _lines(5))
         before = _snapshot(root)
         store = RecordStore(root)
-        store.append(parse_record(_lines(6)[5]))  # buffered until close
+        ingest_stream(_lines(6)[5:], store)  # the snapshot waits for close
         with _jsonl(root).open("a") as fh:  # a writer that ignores the lock gets in first
             fh.write(make_line(record_time="2023-10-16T09:01:00Z", global_id=77) + "\n")
         with caplog.at_level(logging.WARNING, logger="svaa.records"):
@@ -146,6 +140,27 @@ class TestSnapshot:
 
         monkeypatch.setattr("svaa.records._parse_fields", no_parse)
         assert [r[2] for r in _rows(RecordStore(root))] == [100, 101, 102, 103, 104, 105]
+
+    def test_older_snapshot_with_extras_opens_without_parsing(self, tmp_path, monkeypatch):
+        """Older snapshots also hold the rows' feature and batch_id as an `extras` member, which is not read."""
+        root = tmp_path / "store"
+        _build(root, _lines(3) + [
+            make_line(record_time="2023-10-16T10:00:00Z", global_id=7, feature="AAAA//BBBB==", batch_id={"b": [1, 2.5]}),
+            make_line(record_time="2023-10-16T10:00:01Z", global_id=8, batch_id="b7"),
+        ])
+        expected = _rows(RecordStore(root))
+        snap = root / "camera_00001.snap.npz"
+        with np.load(snap, allow_pickle=False) as z:
+            members = {name: z[name] for name in z.files}
+        assert "extras" not in members
+        extras = [[3, "AAAA//BBBB==", {"b": [1, 2.5]}], [4, None, "b7"]]  # [row, feature, batch_id]
+        np.savez(snap, extras=np.frombuffer(json.dumps(extras).encode(), dtype=np.uint8), **members)
+
+        def no_parse(raw):
+            raise AssertionError("parsed a line that the snapshot holds")
+
+        monkeypatch.setattr("svaa.records._parse_stored", no_parse)
+        assert _rows(RecordStore(root)) == expected
 
     def test_carriage_return_inside_a_line_is_not_a_line_break(self, tmp_path):
         root = tmp_path / "store"
@@ -211,11 +226,11 @@ class TestWriterLock:
     def test_second_writer_is_refused_until_the_first_closes(self, tmp_path):
         root = tmp_path / "store"
         first, second = RecordStore(root), RecordStore(root)
-        first.append(parse_record(make_line(global_id=1)))
+        ingest_stream([make_line(global_id=1)], first)
         with pytest.raises(StoreLocked):
-            second.append(parse_record(make_line(global_id=2)))
+            ingest_stream([make_line(global_id=2)], second)
         first.close()
-        second.append(parse_record(make_line(global_id=3)))
+        ingest_stream([make_line(global_id=3)], second)
         second.close()
         assert [r[2] for r in _rows(RecordStore(root))] == [1, 3]
 
@@ -232,7 +247,7 @@ class TestWriterLock:
         _build(root, _lines(2))
         late = RecordStore(root)
         _build(root, _lines(3)[2:])
-        late.append(parse_record(make_line(record_time="2023-10-16T09:01:00Z", global_id=9)))
+        ingest_stream([make_line(record_time="2023-10-16T09:01:00Z", global_id=9)], late)
         late.close()
         assert len(late) == 4
         assert _snapshot(root) == (_jsonl(root).stat().st_size, 4)

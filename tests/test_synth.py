@@ -3,24 +3,23 @@
 from __future__ import annotations
 
 import hashlib
+import json
 from datetime import date, timedelta
 
 import numpy as np
 import pytest
 
 from svaa.errors import InvalidProfile
-from svaa.records import RecordStore, format_record, ingest_stream
+from svaa.records import RecordStore, format_record, ingest_stream, parse_record
 from svaa.synth import (
     DEFAULT_HOLIDAYS,
     DEFAULT_SPAN,
     CameraSim,
     SimProfile,
     default_profile,
-    generate,
     generate_lines,
     load_profile,
     profile_from_dict,
-    profile_to_dict,
     write_stream,
 )
 from svaa.timeutil import date_to_day, is_weekend
@@ -29,6 +28,11 @@ from conftest import utc
 
 T0 = utc(2023, 10, 16)
 T1 = utc(2023, 10, 17)
+
+
+def _records(profile, t0, t1) -> list:
+    """The stream generate_lines emits, parsed."""
+    return [parse_record(line) for line in generate_lines(profile, t0, t1)[0]]
 
 
 def flat_profile(rate=60.0, seed=0, cameras=1, **kwargs):
@@ -72,7 +76,7 @@ class TestValidation:
 
     def test_inverted_span(self):
         with pytest.raises(InvalidProfile):
-            generate(flat_profile(), T1, T0)
+            generate_lines(flat_profile(), T1, T0)
 
 
 # Release pin of the stream generate_lines emits for
@@ -82,9 +86,9 @@ class TestValidation:
 # so a numpy upgrade may change the digest. Recompute it with
 #   PYTHONPATH=src:tests python -c "import hashlib, datetime as d, test_synth as t; ls, _ = t.generate_lines(t.flat_profile(rate=12.0, seed=20231012), t.T0, t.T0 + d.timedelta(hours=2)); print(hashlib.sha256(chr(10).join(ls).encode()).hexdigest())"
 # and pin a new value only after re-checking the stream itself: the same
-# digest from processes with different PYTHONHASHSEED values, generate and
-# generate_lines giving identical lines, every line round-tripping through
-# parse_record/format_record, and the ground truth matching a recount.
+# digest from processes with different PYTHONHASHSEED values, every line
+# round-tripping through parse_record/format_record, and the ground truth
+# matching a recount.
 # Never copy the value from a failing run alone.
 GOLDEN_DIGEST = "07fe915f9cfa960aff2a0a857099eedda4a47408c7866be76aded1a661edfdd4"
 GOLDEN_NUMPY = "2.4.6"  # numpy version the digest was taken under
@@ -92,8 +96,8 @@ GOLDEN_NUMPY = "2.4.6"  # numpy version the digest was taken under
 
 class TestDeterminism:
     def test_zero_rate_empty_stream(self):
-        records, truth = generate(flat_profile(rate=0.0), T0, T1)
-        assert records == []
+        lines, truth = generate_lines(flat_profile(rate=0.0), T0, T1)
+        assert list(lines) == []
         assert truth.counts == {}
 
     def test_identical_runs_byte_identical(self):
@@ -125,27 +129,20 @@ class TestDeterminism:
             f"running numpy {np.__version__}; re-check the stream before re-pinning"
         )
 
-    def test_golden_stream_both_paths_agree(self):
-        # the digest pins generate_lines only; generate must emit the same stream
-        profile = flat_profile(rate=12.0, seed=20231012)
-        span = (T0, T0 + timedelta(hours=2))
-        lines, line_truth = generate_lines(profile, *span)
-        records, truth = generate(profile, *span)
-        assert [format_record(r) for r in records] == list(lines)
-        assert line_truth == truth
-
 
 class TestStreamShape:
     def test_time_sorted_and_parseable(self):
         profile = default_profile(seed=3, rate_scale=0.05)
-        records, _ = generate(profile, *DEFAULT_SPAN)
+        lines = list(generate_lines(profile, *DEFAULT_SPAN)[0])
+        records = [parse_record(line) for line in lines]
+        assert [format_record(r) for r in records] == lines  # each line is in the canonical form
         times = [r.record_time for r in records]
         assert times == sorted(times)
         assert all(r.class_id == 0 for r in records)
 
     def test_bboxes_inside_frame(self):
         profile = flat_profile(rate=40.0, seed=5)
-        records, _ = generate(profile, T0, T1)
+        records = _records(profile, T0, T1)
         cam = profile.cameras[0]
         for r in records:
             assert 0 <= r.bbox.x and r.bbox.x + r.bbox.w <= cam.width
@@ -154,7 +151,7 @@ class TestStreamShape:
 
     def test_global_ids_unique_across_cameras(self):
         profile = flat_profile(rate=20.0, seed=6, cameras=3)
-        records, _ = generate(profile, T0, T1)
+        records = _records(profile, T0, T1)
         by_gid = {}
         for r in records:
             by_gid.setdefault(r.global_id, set()).add(r.camera_id)
@@ -172,7 +169,8 @@ class TestStreamShape:
 class TestGroundTruth:
     def test_matches_stream_recount(self):
         profile = default_profile(seed=9, rate_scale=0.05)
-        records, truth = generate(profile, *DEFAULT_SPAN)
+        lines, truth = generate_lines(profile, *DEFAULT_SPAN)
+        records = [parse_record(line) for line in lines]
         recount: dict[tuple[int, date, int], set[int]] = {}
         for r in records:
             key = (r.camera_id, r.record_time.date(), r.record_time.hour)
@@ -194,7 +192,7 @@ class TestRateLaws:
         # flat 60/hour for 24h: mean distinct people over seeds within 5% of 1440
         totals = []
         for seed in range(10):
-            records, truth = generate(flat_profile(rate=60.0, seed=seed), T0, T1)
+            records = _records(flat_profile(rate=60.0, seed=seed), T0, T1)
             totals.append(len({r.global_id for r in records}))
         mean = sum(totals) / len(totals)
         assert abs(mean - 1440) / 1440 < 0.05
@@ -205,8 +203,8 @@ class TestRateLaws:
         sat_totals, mon_totals = [], []
         for seed in range(8):
             profile = flat_profile(rate=60.0, seed=seed, weekend_multiplier=0.5)
-            sat_records, _ = generate(profile, sat0, sat0 + timedelta(days=1))
-            mon_records, _ = generate(profile, mon0, mon0 + timedelta(days=1))
+            sat_records = _records(profile, sat0, sat0 + timedelta(days=1))
+            mon_records = _records(profile, mon0, mon0 + timedelta(days=1))
             sat_totals.append(len({r.global_id for r in sat_records}))
             mon_totals.append(len({r.global_id for r in mon_records}))
         ratio = sum(sat_totals) / sum(mon_totals)
@@ -215,17 +213,25 @@ class TestRateLaws:
     def test_holidays_damped_like_weekends(self):
         profile = flat_profile(rate=60.0, seed=4, weekend_multiplier=0.25,
                                holidays=(date(2023, 10, 16),))
-        records, _ = generate(profile, T0, T1)  # Monday, but configured holiday
+        records = _records(profile, T0, T1)  # Monday, but configured holiday
         distinct = len({r.global_id for r in records})
         assert distinct < 0.5 * 1440
 
 
 class TestProfileIo:
     def test_round_trip(self, tmp_path):
-        profile = default_profile(seed=77, rate_scale=0.5)
-        (tmp_path / "p.json").write_text(__import__("json").dumps(profile_to_dict(profile)))
-        again = load_profile(tmp_path / "p.json")
-        assert again == profile
+        rates = [float(h) for h in range(24)]
+        (tmp_path / "p.json").write_text(json.dumps({
+            "seed": 77, "weekend_multiplier": 0.5, "duration_range_s": [3.0, 9.0], "height_frac_range": [0.1, 0.4],
+            "emission_period_s": 1.0, "holidays": ["2023-10-12"],
+            "cameras": [{"camera_id": 2, "width": 640, "height": 480, "hourly_rate": rates},
+                        {"camera_id": 5, "hourly_rate": [1.0] * 24}],
+        }))
+        assert load_profile(tmp_path / "p.json") == SimProfile(
+            cameras=(CameraSim(2, 640, 480, tuple(rates)), CameraSim(5, hourly_rate=(1.0,) * 24)),
+            weekend_multiplier=0.5, duration_range_s=(3.0, 9.0), height_frac_range=(0.1, 0.4),
+            emission_period_s=1.0, holidays=(date(2023, 10, 12),), seed=77,
+        )
 
     def test_default_profile_shape(self):
         profile = default_profile()
