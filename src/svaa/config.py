@@ -9,6 +9,7 @@ from datetime import date, timedelta
 from pathlib import Path
 
 from . import anomaly, occupancy
+from .heatmap import MAX_GRID_SIDE
 from .birdseye import CameraConfig
 from .errors import InvalidConfig
 from .timeutil import date_to_day
@@ -16,9 +17,10 @@ from .timeutil import date_to_day
 # out_of_range bounds: for seconds whose timedelta is at least 1 microsecond and fits the type, and for a count
 SECONDS = dict(low=5e-7, above=True, high=86_400.0 * (timedelta.max.days + 1))
 COUNT = dict(low=1, integer=True)
+GRID_SIDE = dict(COUNT, high=MAX_GRID_SIDE + 1)
 # out_of_range bounds of each numeric parameter, by document key; its AppConfig field is the key with "_" for "."
 _NUMBERS = {"occupancy.min_samples": COUNT, "occupancy.history_capacity": COUNT,
-            "anomaly.min_samples": dict(low=0, integer=True), "heatmap.cols": COUNT, "heatmap.rows": COUNT,
+            "anomaly.min_samples": dict(low=0, integer=True), "heatmap.cols": GRID_SIDE, "heatmap.rows": GRID_SIDE,
             "heatmap.sigma": dict(low=0), "heatmap.gamma": dict(low=0, above=True), "staleness_s": SECONDS}
 
 

@@ -22,7 +22,11 @@ class InvertedRange(AnalyticsError):
 
 
 class RangeTooLong(AnalyticsError):
-    """A time range holds more 5-second windows than one query may replay."""
+    """A time range holds more windows, buckets or hour cells than one query may hold."""
+
+
+class GridTooLarge(AnalyticsError):
+    """A heatmap grid would hold more cells than one render may."""
 
 
 class StoreUnwritable(AnalyticsError):

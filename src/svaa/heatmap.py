@@ -5,7 +5,10 @@ Two accumulation modes: DATA_EXTENT sizes the grid from the data itself
 explicit geometry and clamps strays to the border, which keeps grids of
 different days shape-identical and directly comparable. Smoothing uses a
 truncated separable Gaussian whose per-source weights are renormalized over
-the in-grid part of the kernel, so total mass is preserved exactly.
+the in-grid part of the kernel, so total mass is preserved exactly. A
+DATA_EXTENT grid of more than MAX_GRID_CELLS cells is refused with
+GridTooLarge before it is allocated; the configuration bounds a fixed grid
+to MAX_GRID_SIDE cells a side, so it stays within the same limit.
 """
 
 from __future__ import annotations
@@ -19,7 +22,10 @@ from typing import Sequence
 import numpy as np
 
 from .birdseye import MIN_NORMALIZED_H, BevPoint, CameraConfig
-from .errors import EmptyInput
+from .errors import EmptyInput, GridTooLarge
+
+MAX_GRID_SIDE = 1024  # the most columns or rows of a configured grid
+MAX_GRID_CELLS = MAX_GRID_SIDE * MAX_GRID_SIDE  # the most cells of any grid, 8 MiB of float64
 
 
 class Mode(enum.Enum):
@@ -114,8 +120,12 @@ def accumulate_grid(
         if cell_size <= 0:
             raise ValueError("cell_size must be positive")
         cell_w = cell_h = float(cell_size)
-        x_min = math.floor(xs.min() / cell_w) * cell_w
-        y_min = math.floor(ys.min() / cell_h) * cell_h
+        with np.errstate(over="ignore", invalid="ignore"):  # a tiny cell size overflows; it is refused below
+            x_min = np.floor(xs.min() / cell_w) * cell_w
+            y_min = np.floor(ys.min() / cell_h) * cell_h
+            shape = (np.floor((ys.max() - y_min) / cell_h) + 1, np.floor((xs.max() - x_min) / cell_w) + 1)
+        if not (np.isfinite(x_min) and np.isfinite(y_min) and shape[0] * shape[1] <= MAX_GRID_CELLS):
+            raise GridTooLarge(f"the grid at cell size {cell_size:g} would have more than {MAX_GRID_CELLS} cells")
         cols = np.floor((xs - x_min) / cell_w).astype(np.int64)
         rows = np.floor((ys - y_min) / cell_h).astype(np.int64)
         n_cols = int(cols.max()) + 1

@@ -3,7 +3,9 @@
 Five views of the same stream: live head-count, per-camera and per-location
 hourly means, cumulative distinct totals, and peak-hour ranking. The global
 person id is the dedup key throughout, so one person on two cameras of a
-location counts once. All functions are pure over a store snapshot.
+location counts once. All functions are pure over a store snapshot. One
+query holds at most MAX_BUCKETS buckets (total) or hour cells (hourly,
+peaks); a longer range is refused with RangeTooLong before it is allocated.
 """
 
 from __future__ import annotations
@@ -13,12 +15,21 @@ from datetime import datetime, timedelta
 
 import numpy as np
 
-from .errors import InvertedRange, UnknownCamera, UnknownLocation
-from .records import RecordStore, distinct_counts, human_rows
+from .errors import InvertedRange, RangeTooLong, UnknownCamera, UnknownLocation
+from .records import MAX_SERIES_WINDOWS, RecordStore, distinct_counts, human_rows
 from .timeutil import US_PER_HOUR, floor_to, from_us, to_us
 
 # camera_id -> location label ("" for none); total over configured cameras
 LocationMap = dict[int, str]
+# The most buckets (total) or hour cells (hourly, peaks) of one query: as many as a replay's windows, since
+# a bucket costs about what a window does (~160 B at its peak under tracemalloc, against 100-230 B), so
+# both ceilings are about 1 GiB. An hour cell costs ~25 B.
+MAX_BUCKETS = MAX_SERIES_WINDOWS
+
+
+def _check_buckets(n: int, what: str) -> None:
+    if n > MAX_BUCKETS:
+        raise RangeTooLong(f"{n} {what} in range; one query takes at most {MAX_BUCKETS}")
 
 
 @dataclass(slots=True)
@@ -86,6 +97,7 @@ def hourly_average(
     profile = HourlyProfile()
     if hi_hour <= lo_hour:
         return profile
+    _check_buckets(hi_hour - lo_hour, "hour cells")
     times, gids = human_rows(store, cameras, lo_hour * US_PER_HOUR, hi_hour * US_PER_HOUR)
     counts = distinct_counts(times, gids, lo_hour * US_PER_HOUR, US_PER_HOUR, hi_hour - lo_hour)
     hods = (np.arange(lo_hour, hi_hour, dtype=np.int64)) % 24
@@ -119,6 +131,7 @@ def total_over_time(
     t0_us = floor_to(t0_us, bucket_us)
     t1_us = floor_to(t1_us, bucket_us)
     n = (t1_us - t0_us) // bucket_us
+    _check_buckets(n, "buckets")
     times, gids = human_rows(store, store.camera_ids(), t0_us, t1_us)
     order = np.argsort(times, kind="stable")
     times, gids = times[order], gids[order]

@@ -9,6 +9,18 @@ contract: a single writer appends, readers see immutable indexes. Ingest
 validates a line's optional `feature` and `batch_id` too, but no analytic
 reads them: they live only in the JSONL line, never in the columns.
 
+Lines are parsed in batches of at most _BATCH_LINES, which bounds the
+parser's memory. `_decode` reads the lines of the canonical shape, the one
+format_record and the generator write, in columns: one compiled pattern per
+line, then numpy for the numbers and for the calendar and clock checks of
+the times. Every line it does not take (another key order, an offset, an
+exponent, an extra field, or anything wrong) goes through `_parse_fields`,
+the per-line parser, which alone rejects lines: every rejection, message
+and line number comes from it. Ingest then groups a batch's accepted rows
+by camera, keeping their order, and makes one write of the camera's lines
+and one extend of each of its columns. Opening a store reads a file's
+lines past its snapshot through the same batches.
+
 The JSONL files are the source of truth. Beside each one sits a columnar
 snapshot, `camera_NNNNN.snap.npz`, so that opening a store does not re-parse
 what was validated at ingest (a snapshot plus a log tail, as in an LSM
@@ -26,13 +38,21 @@ snapshot's own bytes.
 
 One writer at a time: a handle takes an advisory `flock` on `<store>/.lock`
 at its first append and holds it until close(); a second writer gets
-StoreLocked. The lock is what lets close() stamp a snapshot with the bytes
-the handle parsed plus the bytes it wrote: if the file's length differs,
-no snapshot is written. A crash during an append can leave an unterminated
-last line. Opening keeps it if it parses and skips it with a warning if
-not; before its first append, a writer ends such a line with a newline or,
-if it does not parse, cuts it off. A malformed line anywhere else raises
-MalformedLine with its line number.
+StoreLocked. On taking the lock it removes the `.camera_NNNNN.snap.npz.*`
+temporaries that a process killed while writing a snapshot leaves behind
+(a reader that is rewriting a snapshot at that moment loses that write,
+which is logged). The lock is what lets close() stamp a snapshot with the
+bytes the handle parsed plus the bytes it wrote: if the file's length
+differs, no snapshot is written. A crash during an append can leave an
+unterminated last line. Opening keeps it if it parses and skips it with a
+warning if not; before its first append, a writer ends such a line with a
+newline or, if it does not parse, cuts it off. A malformed line anywhere
+else raises MalformedLine with its line number.
+
+Durability: nothing calls fsync. Lines that ingest reports as accepted are
+in the operating system's page cache when close() returns, so they survive
+a crash of the process but can be lost on a power failure or an operating
+system crash, after which what each file holds is up to the file system.
 
 The index layout stays inside this module: `human_rows` is the only reader
 of `_CameraIndex` for the analytics, which ask it for the columns they need
@@ -46,11 +66,13 @@ import hashlib
 import json
 import logging
 import os
+import re
 import tempfile
 import zipfile
 from array import array
 from dataclasses import dataclass
 from datetime import datetime
+from itertools import islice
 from math import isfinite
 from pathlib import Path
 from typing import Iterable
@@ -216,6 +238,103 @@ def format_record(rec: DetectionRecord) -> str:
     return "{" + ",".join(parts) + "}"
 
 
+# The canonical line shape, the one format_record and synth.generate_lines write: these six keys in this
+# order and no other, a UTC time with whole seconds or six fraction digits, ids of at most 18 digits (so
+# below 2**63; camera, local and global ids at least 1) and a box of plain nonnegative decimals, all in
+# JSON's number grammar. _decode reads such lines in columns; every other line goes to _parse_fields.
+_ID = r"([1-9]\d{0,17})"
+_PIXEL = r"(?:0|[1-9]\d{0,15})(?:\.\d+)?"
+_CANONICAL = re.compile(
+    r'\{"record_time":"(\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d(?:\.\d{6})?Z)","camera_id":' + _ID
+    + r',"class_id":(0|[1-9]\d{0,17}),"bbox":\[(' + ",".join([_PIXEL] * 4) + r')\],"local_id":' + _ID
+    + r',"global_id":' + _ID + r"\}",
+    re.ASCII,
+)
+_BATCH_LINES = 1024  # lines decoded at a time, which bounds the decoder's memory
+# a batch's columns, in _parse_fields' order, with their array typecodes
+_FIELDS = (("times", "q"), ("camera_ids", "q"), ("class_ids", "q"), ("x", "d"), ("y", "d"), ("w", "d"),
+           ("h", "d"), ("local_ids", "q"), ("global_ids", "q"))
+_COLUMNS = tuple(field for field in _FIELDS if field[0] != "camera_ids")  # a camera log's and snapshot's columns
+_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])  # by month, in a common year
+
+
+def _digits(d: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """The decimal number in character columns lo..hi-1 of a digit matrix."""
+    return d[:, lo:hi] @ 10 ** np.arange(hi - lo - 1, -1, -1)
+
+
+def _instants(texts: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Epoch microseconds of canonical time texts, and whether each names a calendar instant."""
+    d = np.array(texts).view(np.uint32).reshape(len(texts), -1).astype(np.int64) - ord("0")
+    year, month, day = _digits(d, 0, 4), _digits(d, 5, 7), _digits(d, 8, 10)
+    hour, minute, second = _digits(d, 11, 13), _digits(d, 14, 16), _digits(d, 17, 19)
+    micro = np.where(d[:, 19] == ord(".") - ord("0"), _digits(d, 20, 26), 0) if d.shape[1] > 20 else 0
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    last_day = _MONTH_DAYS[np.clip(month, 0, 12)] + (leap & (month == 2))
+    valid = (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (day <= last_day)
+    valid &= (hour < 24) & (minute < 60) & (second < 60)
+    # days since 1970-01-01 in the proleptic Gregorian calendar, counted from March so leap days come last
+    y = year - (month <= 2)
+    era = y // 400
+    yoe = y - era * 400
+    days = era * 146_097 + yoe * 365 + yoe // 4 - yoe // 100 + (153 * ((month + 9) % 12) + 2) // 5 + day - 719_469
+    return (((days * 24 + hour) * 60 + minute) * 60 + second) * 1_000_000 + micro, valid
+
+
+def _decode(lines: list[str], columns: dict[str, np.ndarray]) -> np.ndarray:
+    """Read the canonical lines among stripped lines into columns, one entry per line; raises nothing.
+
+    Returns a mask of the lines read. A line that is not canonical, whose time
+    is not a calendar instant, or whose box has no area is left unmarked, for
+    _parse_fields to accept or reject.
+    """
+    ok = np.zeros(len(lines), dtype=bool)
+    hits = [(i, m.groups()) for i, m in enumerate(map(_CANONICAL.fullmatch, lines)) if m]
+    if not hits:
+        return ok
+    at, groups = zip(*hits)
+    at = np.array(at)
+    times, cameras, classes, boxes, local_ids, global_ids = zip(*groups)
+    for name, texts in (("camera_ids", cameras), ("class_ids", classes), ("local_ids", local_ids),
+                        ("global_ids", global_ids)):
+        columns[name][at] = np.fromstring(" ".join(texts), dtype=np.int64, sep=" ")
+    box = np.fromstring(",".join(boxes), dtype=np.float64, sep=",").reshape(-1, 4)
+    for k, name in enumerate("xywh"):
+        columns[name][at] = box[:, k]
+    columns["times"][at], valid = _instants(times)
+    ok[at] = valid & (box[:, 2] > 0) & (box[:, 3] > 0)
+    return ok
+
+
+def _parse_batch(lines: list[str]) -> tuple[np.ndarray, dict[str, np.ndarray], list[tuple[int, Exception]]]:
+    """Parse a batch of stripped lines: (kept, columns, rejects).
+
+    _decode reads the canonical lines; every other line that is not blank
+    goes through _parse_fields. kept holds the positions of the accepted
+    lines, columns their rows in line order, and rejects (position, error)
+    for each refused line, in order.
+    """
+    n = len(lines)
+    columns = {name: np.zeros(n, dtype=_DTYPES[code]) for name, code in _FIELDS}
+    ok = _decode(lines, columns)
+    rejects = []
+    for i in np.flatnonzero(~ok).tolist():
+        try:
+            fields = _parse_fields(lines[i]) if lines[i] else None
+        except _LINE_ERRORS as exc:
+            # keep a copy without the traceback, whose frames would hold the batch in a reference cycle
+            rejects.append((i, type(exc)(str(exc))))
+            continue
+        if fields is not None:
+            ok[i] = True
+            for (name, _), value in zip(_FIELDS, fields):
+                columns[name][i] = value
+    kept = np.flatnonzero(ok)
+    if len(kept) < n:
+        columns = {name: column[kept] for name, column in columns.items()}
+    return kept, columns, rejects
+
+
 class _CameraIndex:
     """Immutable time-sorted snapshot of one camera's columns."""
 
@@ -245,9 +364,6 @@ class _CameraIndex:
 
 _EMPTY_LOG: "_CameraLog | None" = None
 
-# snapshot columns in _CameraLog order, with their array typecodes
-_COLUMNS = (("times", "q"), ("class_ids", "q"), ("global_ids", "q"), ("local_ids", "q"),
-            ("x", "d"), ("y", "d"), ("w", "d"), ("h", "d"))
 _DTYPES = {"q": np.dtype(np.int64), "d": np.dtype(np.float64)}
 _CHUNK = 1 << 20  # bytes read at a time when hashing part of a file
 _LINE_ERRORS = (MalformedLine, InvalidTimestamp, InvalidBBox)
@@ -272,17 +388,10 @@ class _CameraLog:
     def __len__(self) -> int:
         return len(self.times)
 
-    def append_fields(self, fields: tuple) -> None:
-        """Append one row from a _parse_fields tuple."""
-        time_us, _, class_id, x, y, w, h, local_id, global_id, _, _ = fields
-        self.times.append(time_us)
-        self.class_ids.append(class_id)
-        self.global_ids.append(global_id)
-        self.local_ids.append(local_id)
-        self.x.append(x)
-        self.y.append(y)
-        self.w.append(w)
-        self.h.append(h)
+    def extend(self, columns: dict[str, np.ndarray], lo: int = 0, hi: int | None = None) -> None:
+        """Append rows lo..hi-1 of columns named as the log's."""
+        for name, _ in _COLUMNS:
+            getattr(self, name).frombytes(columns[name][lo:hi].view(np.uint8))
         self._index = None
 
     def load_snapshot(self, snap: "_Snapshot") -> None:
@@ -349,13 +458,21 @@ def _lines_before(path: Path, n: int) -> int:
         return fh.read(n).count(b"\n")
 
 
-def _parse_stored(raw: bytes) -> tuple | None:
-    """Fields of one stored line, or None for a blank one."""
+def _parse_stored(raws: list[bytes]) -> tuple[np.ndarray, dict[str, np.ndarray], list[tuple[int, Exception]]]:
+    """_parse_batch over raw stored lines; the first line that is not UTF-8 is refused and ends the batch."""
     try:
-        line = raw.decode("utf-8").strip()
-    except UnicodeDecodeError as exc:
-        raise MalformedLine(f"not UTF-8: {exc}") from exc
-    return _parse_fields(line) if line else None
+        lines = [line.strip() for line in b"".join(raws).decode("utf-8").split("\n")[:len(raws)]]
+        bad = []
+    except UnicodeDecodeError:
+        lines, bad = [], []
+        for raw in raws:
+            try:
+                lines.append(raw.decode("utf-8").strip())
+            except UnicodeDecodeError as exc:
+                bad = [(len(lines), MalformedLine(f"not UTF-8: {exc}"))]
+                break
+    kept, columns, rejects = _parse_batch(lines)
+    return kept, columns, rejects + bad
 
 
 class _CameraFile:
@@ -440,32 +557,30 @@ class RecordStore:
                     f.sha = hashlib.sha256()
                     fh.seek(0)
             from_snapshot = f.covered
-            lineno = 0  # past the snapshot; error messages add the lines before it
-            append_fields = log.append_fields
-            for raw in fh:
-                lineno += 1
-                if not raw.endswith(b"\n"):  # only the last line can lack one
-                    f.torn = raw
-                    break
-                f.sha.update(raw)
-                f.covered += len(raw)
-                try:
-                    fields = _parse_stored(raw)
-                except _LINE_ERRORS as exc:
-                    lineno += _lines_before(f.path, from_snapshot)
+            past = 0  # lines read past the snapshot; error messages add the lines before it
+            while raws := list(islice(fh, _BATCH_LINES)):
+                if not raws[-1].endswith(b"\n"):  # only the last line can lack one
+                    f.torn = raws.pop()  # read no further: a writer may be ending this line
+                data = b"".join(raws)
+                f.sha.update(data)
+                f.covered += len(data)
+                _, columns, rejects = _parse_stored(raws)
+                if rejects:
+                    i, exc = rejects[0]
+                    lineno = _lines_before(f.path, from_snapshot) + past + i + 1
                     raise MalformedLine(f"{f.path}:{lineno}: {exc}") from exc
-                if fields is not None:
-                    append_fields(fields)
+                log.extend(columns)
+                past += len(raws)
+                if f.torn:
+                    break
         if f.torn:
-            try:
-                fields = _parse_stored(f.torn)
-            except _LINE_ERRORS as exc:
-                lineno += _lines_before(f.path, from_snapshot)
-                logger.warning("%s:%d: ignoring a torn last line: %s", f.path, lineno, exc)
-            else:
-                if fields is not None:
-                    log.append_fields(fields)
-                    f.torn_row = True
+            kept, columns, rejects = _parse_stored([f.torn])
+            if rejects:
+                lineno = _lines_before(f.path, from_snapshot) + past + 1
+                logger.warning("%s:%d: ignoring a torn last line: %s", f.path, lineno, rejects[0][1])
+            elif len(kept):
+                log.extend(columns)
+                f.torn_row = True
         if f.covered > from_snapshot:
             self._save_snapshot(f, log, len(log) - f.torn_row)
         return f
@@ -505,6 +620,13 @@ class RecordStore:
             lock.close()
             raise StoreUnwritable(f"cannot lock store {self.root}: {exc}") from exc
         self._lock = lock
+        for tmp in self.root.glob(".camera_*.snap.npz.*"):  # left behind by a process killed mid-snapshot
+            try:
+                tmp.unlink()
+            except OSError as exc:
+                logger.warning("could not remove a stale snapshot temporary %s: %s", tmp, exc)
+            else:
+                logger.warning("removed a stale snapshot temporary %s", tmp)
 
     def _writer(self, camera_id: int) -> _CameraFile:
         """The camera's file, open for append under the writer lock."""
@@ -540,19 +662,27 @@ class RecordStore:
         f.torn = b""
         f.torn_row = False
 
-    def _append_fields(self, fields: tuple, line: str) -> None:
-        camera_id = fields[1]
-        if self.root is not None:
-            f = self._writer(camera_id)
-            try:
-                f.fh.write(line + "\n")
-            except OSError as exc:
-                raise StoreUnwritable(f"write failed for camera {camera_id}: {exc}") from exc
-            f.written += len(line) + 1 if line.isascii() else len((line + "\n").encode("utf-8"))
-        log = self._logs.get(camera_id)
-        if log is None:
-            log = self._logs.setdefault(camera_id, _CameraLog())
-        log.append_fields(fields)
+    def _append_batch(self, lines: list[str], kept: np.ndarray, columns: dict[str, np.ndarray]) -> None:
+        """Append the rows of lines[kept]: per camera, one write of its lines and one extend of its columns."""
+        order = np.argsort(columns["camera_ids"], kind="stable")
+        cameras = columns["camera_ids"][order]
+        columns = {name: columns[name][order] for name, _ in _COLUMNS}
+        rows = kept[order].tolist()
+        cuts = (np.flatnonzero(cameras[1:] != cameras[:-1]) + 1).tolist()
+        for lo, hi in zip([0, *cuts], [*cuts, len(rows)]):
+            camera_id = int(cameras[lo])
+            if self.root is not None:
+                f = self._writer(camera_id)
+                text = "\n".join([lines[i] for i in rows[lo:hi]]) + "\n"
+                try:
+                    f.fh.write(text)
+                except OSError as exc:
+                    raise StoreUnwritable(f"write failed for camera {camera_id}: {exc}") from exc
+                f.written += len(text) if text.isascii() else len(text.encode("utf-8"))
+            log = self._logs.get(camera_id)  # after _writer, which may have re-read the camera
+            if log is None:
+                log = self._logs[camera_id] = _CameraLog()
+            log.extend(columns, lo, hi)
 
     def flush(self) -> None:
         for f in self._files.values():
@@ -626,31 +756,26 @@ def ingest_stream(source: Iterable[str], store: RecordStore) -> IngestReport:
     """Append every valid line from source; log and skip invalid ones.
 
     Rejected lines never abort the stream. The report's first/last times are
-    the min/max record times among accepted lines.
+    the min/max record times among accepted lines. Lines are parsed and
+    appended _BATCH_LINES at a time.
     """
     report = IngestReport()
     first_us: int | None = None
     last_us: int | None = None
-    for lineno, line in enumerate(source, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            fields = _parse_fields(line)
-        except _LINE_ERRORS as exc:
-            report.rejected += 1
-            logger.warning("rejected line %d: %s", lineno, exc)
-            continue
-        store._append_fields(fields, line)
-        report.accepted += 1
-        t = fields[0]
-        if first_us is None:
-            first_us = last_us = t
-        else:
-            if t < first_us:
-                first_us = t
-            if t > last_us:
-                last_us = t
+    source = iter(source)
+    start = 1  # the number of the batch's first line
+    while batch := [line.strip() for line in islice(source, _BATCH_LINES)]:
+        kept, columns, rejects = _parse_batch(batch)
+        for i, exc in rejects:
+            logger.warning("rejected line %d: %s", start + i, exc)
+        report.rejected += len(rejects)
+        if len(kept):
+            store._append_batch(batch, kept, columns)
+            report.accepted += len(kept)
+            lo, hi = int(columns["times"].min()), int(columns["times"].max())
+            first_us = lo if first_us is None else min(first_us, lo)
+            last_us = hi if last_us is None else max(last_us, hi)
+        start += len(batch)
     store.flush()
     if first_us is not None and last_us is not None:
         report.first_time = from_us(first_us)

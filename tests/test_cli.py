@@ -13,7 +13,7 @@ from datetime import datetime, timedelta
 import numpy as np
 import pytest
 
-from svaa import cli, synth
+from svaa import cli, metrics, synth
 from svaa.records import RecordStore, ingest_stream
 
 from conftest import make_line
@@ -369,6 +369,70 @@ def test_ranges_past_the_window_limit_exit_1_without_allocating(tmp_path, capsys
     assert rc == 1 and out in ("", "window_start,count,mean,std,z,is_anomaly\n")
     assert error in capsys.readouterr().err
     assert peak < 1 << 20  # the grid asked for would be 8 bytes a window, ~5e10 windows
+
+
+@pytest.mark.parametrize("argv", [
+    ("total", "--bucket", 1, "--from", "2023-10-16T00:00:00Z", "--to", "2024-10-16T00:00:00Z"),  # 31.6 M buckets
+    ("total", "--bucket", 60, "--from", "2023-10-16T00:00:00Z", "--to", "9999-12-31T00:00:00Z"),
+    ("hourly", "--all", "--from", "2023-10-16T00:00:00Z", "--to", "9999-12-31T00:00:00Z"),  # 70 M hour cells
+    ("hourly", "--camera", 1, "--from", "0001-01-01T00:00:00Z", "--to", "2023-10-16T00:00:00Z"),
+    ("peaks", "--all", "--top", 3, "--from", "2023-10-16T00:00:00Z", "--to", "9999-12-31T00:00:00Z"),
+])
+def test_metric_ranges_past_the_bucket_limit_exit_1_without_allocating(tmp_path, capsys, argv):
+    store = tmp_path / "store"
+    src = tmp_path / "one.jsonl"
+    src.write_text(make_line(record_time="2023-10-16T09:00:01Z") + "\n")
+    assert run("ingest", src, "--store", store)[0] == 0
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        rc, out = run(*argv, "--store", store)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (rc, out) == (1, "")
+    assert capsys.readouterr().err.startswith("svaa: RangeTooLong: ")
+    assert peak < 1 << 20
+
+
+def test_metric_ranges_at_the_bucket_limit_answer(tmp_path, monkeypatch):
+    """A range of exactly MAX_BUCKETS buckets or hour cells answers; one more is refused."""
+    store = tmp_path / "store"
+    src = tmp_path / "one.jsonl"
+    src.write_text(make_line(record_time="2024-03-01T09:00:01Z") + "\n")
+    assert run("ingest", src, "--store", store)[0] == 0
+    assert metrics.MAX_BUCKETS >= 7 * 24 * 3600  # total --bucket 1 over a week answers (~4 s, so not run here)
+    monkeypatch.setattr(metrics, "MAX_BUCKETS", 24 * 60)
+    day = ("--from", "2024-03-01T00:00:00Z", "--to", "2024-03-02T00:00:00Z", "--store", store)
+    rc, out = run("total", "--bucket", 60, *day)
+    assert rc == 0 and out.count("\n") == 1 + 24 * 60 and out.endswith(",1\n")
+    assert run("total", "--bucket", 59.9, *day)[0] == 1  # 1,442 buckets
+    monkeypatch.setattr(metrics, "MAX_BUCKETS", 24)
+    assert run("hourly", "--all", *day)[1] == "hour,mean,samples\n" + "".join(
+        f"{h},{int(h == 9)},1\n" for h in range(24))
+    assert run("hourly", "--all", *day[:3], "2024-03-02T01:00:00Z", *day[4:])[0] == 1
+
+
+@pytest.mark.parametrize("cell_size", ["1e-12", "5e-324"])
+def test_extent_heatmap_past_the_cell_limit_exits_1(tmp_path, capsys, cell_size):
+    store, config = _tiny_store(tmp_path, boxes=((100, 200, 50, 100), (1500, 600, 50, 100)))
+    capsys.readouterr()
+    out = tmp_path / "heat.pgm"
+    rc, stdout = run(*HEATMAP, "--mode", "extent", "--cell-size", cell_size, "--sigma", 0, "--out", out,
+                     "--store", store, "--config", config)
+    assert (rc, stdout) == (1, "") and not out.exists()
+    assert capsys.readouterr().err.startswith("svaa: GridTooLarge: ")
+
+
+@pytest.mark.parametrize("key", ["cols", "rows"])
+def test_configured_grid_side_past_the_limit_exits_1(tmp_path, capsys, key):
+    store, config = _tiny_store(tmp_path)
+    out = tmp_path / "heat.pgm"
+    for side, code in ((1024, 0), (1025, 1)):
+        config.write_text(json.dumps({**json.loads(config.read_text()), "heatmap": {key: side, "sigma": 0}}))
+        capsys.readouterr()
+        assert run(*HEATMAP, "--out", out, "--store", store, "--config", config)[0] == code
+    assert capsys.readouterr().err.startswith(f"svaa: InvalidConfig: heatmap.{key} must be an integer in [1, 1025)")
 
 
 def test_at_answers_with_history_older_than_the_window_limit(tmp_path, capsys):

@@ -1,9 +1,11 @@
 """Static rules over src/svaa, checked with the stdlib ast module (no linter is needed).
 
 records.py alone reads a camera's row index: no other module calls
-`.index(` on a store or imports HUMAN_CLASS. No module keeps a top-level
-import it never uses, and no top-level function or class is left that no
-command and no benchmark reaches.
+`.index(` on a store or imports HUMAN_CLASS. Every rejected record line has
+one source: records.py's batch decoder raises no line error, and only
+`_parse_fields` calls `json.loads`. No module keeps a top-level import it
+never uses, and no top-level function or class is left that no command and
+no benchmark reaches.
 """
 
 from __future__ import annotations
@@ -20,6 +22,9 @@ MODULES = sorted(SRC.glob("*.py"))
 # The record schema: the parser of a stored line and its canonical writer. No command calls them, but
 # they define the line format that ingest validates, and the parser property tests them as a pair.
 SCHEMA = frozenset({"parse_record", "format_record"})
+# records.py's batch decoder, which leaves every line it does not take to _parse_fields, and the errors of a line
+DECODER = ("_digits", "_instants", "_decode", "_parse_batch")
+LINE_ERRORS = frozenset({"MalformedLine", "InvalidTimestamp", "InvalidBBox"})
 
 
 def _tree(path: Path) -> ast.Module:
@@ -73,6 +78,29 @@ def unused_imports(tree: ast.Module) -> list[str]:
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
+def raised(node: ast.AST) -> set[str]:
+    """Names of the exception classes raised under node, as `raise X`, `raise X(...)` or `raise mod.X(...)`."""
+    names = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Raise) and n.exc is not None:
+            exc = n.exc.func if isinstance(n.exc, ast.Call) else n.exc
+            names.add(_dotted(exc).rsplit(".", 1)[-1])
+    return names
+
+
+def json_loads_callers(tree: ast.Module) -> list[str]:
+    """The top-level functions, or `Class.method`s, that call json.loads; "<module>" for a call outside them."""
+    callers = []
+    for stmt in tree.body:
+        if isinstance(stmt, ast.ClassDef):
+            scopes = [(f"{stmt.name}.{m.name}" if hasattr(m, "name") else stmt.name, m) for m in stmt.body]
+        else:
+            scopes = [(getattr(stmt, "name", "<module>"), stmt)]
+        callers += [name for name, scope in scopes for n in ast.walk(scope)
+                    if isinstance(n, ast.Call) and _dotted(n.func) == "json.loads"]
+    return callers
+
+
 def _reads(node: ast.AST) -> set[str]:
     """Names read under node, bare or as an attribute; an import or a string in __all__ is not a read."""
     return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
@@ -101,6 +129,14 @@ def test_only_records_reads_the_row_index(path):
     assert human_class_uses(tree) == [], f"{path.name} uses HUMAN_CLASS; records.human_rows applies it"
 
 
+def test_every_rejected_line_has_one_source():
+    tree = _tree(SRC / "records.py")
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for name in DECODER:
+        assert raised(functions[name]) & LINE_ERRORS == set(), f"records.{name} rejects a line; leave it to _parse_fields"
+    assert json_loads_callers(tree) == ["_parse_fields"]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_top_level_imports(path):
     assert unused_imports(_tree(path)) == []
@@ -127,6 +163,26 @@ def test_the_rules_catch_what_they_forbid():
     assert index_reads(tree) == [4, 4, 4]
     assert human_class_uses(tree) == [2, 5]
     assert unused_imports(tree) == ["os (line 1)", "HUMAN_CLASS (line 2)"]
+
+    decoder = ast.parse(
+        "import json\n"
+        "def _decode(line):\n"
+        "    if not line:\n"
+        "        raise MalformedLine('blank')\n"
+        "    try:\n"
+        "        return json.loads(line)\n"
+        "    except ValueError:\n"
+        "        raise errors.InvalidBBox\n"
+        "def _parse_fields(line):\n"
+        "    return json.loads(line)\n"
+        "class Store:\n"
+        "    def load(self, line):\n"
+        "        raise KeyError(json.loads(line))\n"
+        "CONFIG = json.loads('{}')\n"
+    )
+    assert raised(decoder.body[1]) == {"MalformedLine", "InvalidBBox"}
+    assert raised(decoder.body[3]) == {"KeyError"}
+    assert json_loads_callers(decoder) == ["_decode", "_parse_fields", "Store.load", "<module>"]
 
     package = {
         "a.py": ast.parse(

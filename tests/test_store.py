@@ -139,6 +139,7 @@ class TestSnapshot:
             raise AssertionError("parsed a line that the snapshot holds")
 
         monkeypatch.setattr("svaa.records._parse_fields", no_parse)
+        monkeypatch.setattr("svaa.records._parse_batch", no_parse)  # the decoder takes canonical lines
         assert [r[2] for r in _rows(RecordStore(root))] == [100, 101, 102, 103, 104, 105]
 
     def test_older_snapshot_with_extras_opens_without_parsing(self, tmp_path, monkeypatch):
@@ -252,6 +253,29 @@ class TestWriterLock:
         assert len(late) == 4
         assert _snapshot(root) == (_jsonl(root).stat().st_size, 4)
         assert [r[2] for r in _rows(RecordStore(root))] == [100, 101, 102, 9]
+
+    def test_writer_removes_stale_snapshot_temporaries(self, tmp_path, caplog):
+        """A process killed while writing a snapshot leaves its temporary file; the next writer removes it."""
+        root = tmp_path / "store"
+        _build(root, _lines(2))
+        stale = root / ".camera_00001.snap.npz.k1ll3d"
+        stale.write_bytes(b"half a zip")
+        keep = root / ".camera_notes"
+        keep.write_bytes(b"not a snapshot temporary")
+        with caplog.at_level(logging.WARNING, logger="svaa.records"):
+            _build(root, _lines(3)[2:])
+        assert not stale.exists() and keep.exists()
+        assert "removed a stale snapshot temporary" in caplog.text
+        assert _snapshot(root) == (_jsonl(root).stat().st_size, 3)
+
+    def test_reader_leaves_snapshot_temporaries(self, tmp_path):
+        root = tmp_path / "store"
+        _build(root, _lines(2))
+        stale = root / ".camera_00001.snap.npz.k1ll3d"
+        stale.write_bytes(b"half a zip")
+        (root / "camera_00001.snap.npz").unlink()
+        assert len(RecordStore(root)) == 2  # opening rewrites the snapshot, but takes no lock
+        assert stale.exists()
 
     def test_copied_store_keeps_its_snapshots(self, tmp_path):
         root = tmp_path / "store"
