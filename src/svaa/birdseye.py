@@ -4,30 +4,25 @@ A person's normalized image height acts as an inverse-depth proxy: depth is
 tan(mid field-of-view angle) / normalized height, and the lateral offset is
 proportional to depth (pinhole geometry). Taller-in-image means nearer;
 horizontally centered boxes land on the camera axis. Within one 5-second
-window all boxes of one person are averaged first and projected once.
+window all boxes of one person are averaged first and projected once, to
+one BEV_POINT row.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from datetime import date, datetime
 
 import numpy as np
 
 from .errors import CameraMismatch, InvalidBBox, InvalidConfig
 from .records import RecordStore, distinct_pairs, human_rows
-from .timeutil import (
-    US_PER_DAY,
-    WINDOW_US,
-    date_to_day,
-    format_rfc3339,
-    from_us,
-    to_us,
-    window_start,
-)
+from .timeutil import US_PER_DAY, WINDOW_US, format_rfc3339, window_start
 
 MIN_NORMALIZED_H = 0.01  # depth clamp for degenerate 1-pixel boxes
+# The ground-plane position of one person in one 5-second window: bev_x is signed with 0 on the camera
+# axis, and bev_y grows with distance.
+BEV_POINT = np.dtype([("window_us", "i8"), ("global_id", "i8"), ("bev_x", "f8"), ("bev_y", "f8")])
 
 
 @dataclass(frozen=True, slots=True)
@@ -44,28 +39,15 @@ class CameraConfig:
     def __post_init__(self):
         if self.width <= 0 or self.height <= 0:
             raise InvalidConfig(f"camera {self.camera_id}: resolution must be positive")
-        if not 0 < self.min_teta < self.max_teta < 90:
+        if not 0 < self.min_teta < self.max_teta < 90 or self.theta_mid_rad == 0:  # 0 for subnormal angles
             raise InvalidConfig(
-                f"camera {self.camera_id}: need 0 < min_teta < max_teta < 90, "
+                f"camera {self.camera_id}: need 0 < min_teta < max_teta < 90 and a mid angle above 0 radians, "
                 f"got {self.min_teta}..{self.max_teta}"
             )
 
     @property
     def theta_mid_rad(self) -> float:
         return math.radians((self.min_teta + self.max_teta) / 2.0)
-
-
-@dataclass(frozen=True, slots=True)
-class BevPoint:
-    """Ground-plane position of one person in one 5-second window.
-
-    bev_x is signed with 0 on the camera axis; bev_y grows with distance.
-    """
-
-    global_id: int
-    window_start: datetime
-    bev_x: float
-    bev_y: float
 
 
 def _project(x, w, h, cam: CameraConfig):
@@ -80,8 +62,8 @@ def _averaged_points(
     cam: CameraConfig,
     t0_us: int,
     t1_us: int,
-) -> list[BevPoint]:
-    """Per-(window, person) averaged boxes of one camera, projected once each.
+) -> np.ndarray:
+    """BEV_POINT rows of one camera's per-(window, person) averaged boxes, in window then person order.
 
     A box past the camera's configured frame is refused with InvalidBBox:
     the projection reads a box's place in the frame, so it has no answer for one.
@@ -96,7 +78,7 @@ def _averaged_points(
         raise InvalidBBox(f"bbox [{x[k]:g}, {y[k]:g}, {w[k]:g}, {h[k]:g}] at {format_rfc3339(int(times[k]))} does not"
                           f" fit the {cam.width}x{cam.height} frame of camera {cam.camera_id}")
     if not len(times):
-        return []
+        return np.zeros(0, dtype=BEV_POINT)
     win = times // WINDOW_US
     order, first = distinct_pairs(win, gids)
     win, gids = win[order], gids[order]
@@ -107,32 +89,24 @@ def _averaged_points(
     np.add.at(sums, group, boxes)
     tallies = np.bincount(group, minlength=n_groups)
     means = sums / tallies[:, None]
-    bev_x, bev_y = _project(means[:, 0], means[:, 1], means[:, 2], cam)
-    win_first = win[first] * WINDOW_US
-    gid_first = gids[first]
-    return [
-        BevPoint(int(g), from_us(int(ws)), float(bx), float(by))
-        for g, ws, bx, by in zip(gid_first.tolist(), win_first.tolist(), bev_x.tolist(), bev_y.tolist())
-    ]
+    points = np.empty(n_groups, dtype=BEV_POINT)
+    points["window_us"] = win[first] * WINDOW_US
+    points["global_id"] = gids[first]
+    points["bev_x"], points["bev_y"] = _project(means[:, 0], means[:, 1], means[:, 2], cam)
+    return points
 
 
-def window_bev(
-    store: RecordStore,
-    camera_id: int,
-    cam: CameraConfig,
-    window_start_at: datetime,
-) -> list[BevPoint]:
-    """One BevPoint per distinct person in the given 5-second window.
+def window_bev(store: RecordStore, camera_id: int, cam: CameraConfig, at_us: int) -> np.ndarray:
+    """BEV_POINT rows, one per distinct person, of the 5-second window that holds at_us.
 
     All of a person's boxes in the window are averaged component-wise and
     the averaged box is projected once, so the output length equals the
     window's distinct-person count.
     """
-    ws = window_start(to_us(window_start_at))
+    ws = window_start(at_us)
     return _averaged_points(store, camera_id, cam, ws, ws + WINDOW_US)
 
 
-def daily_bev(store: RecordStore, camera_id: int, cam: CameraConfig, day: date) -> list[BevPoint]:
-    """Averaged BevPoints for every 5-second window of one UTC calendar day."""
-    day_start = date_to_day(day) * US_PER_DAY
-    return _averaged_points(store, camera_id, cam, day_start, day_start + US_PER_DAY)
+def daily_bev(store: RecordStore, camera_id: int, cam: CameraConfig, day: int) -> np.ndarray:
+    """BEV_POINT rows of every 5-second window of one UTC calendar day, given as an epoch day."""
+    return _averaged_points(store, camera_id, cam, day * US_PER_DAY, (day + 1) * US_PER_DAY)

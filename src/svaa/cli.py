@@ -3,14 +3,18 @@
 All subcommands work offline on local files. Timestamps on the command line
 are RFC 3339 UTC; day windows and day classes are UTC-defined. Every
 analytic is routed through the corresponding module operation, the CLI only
-parses arguments and formats output.
+parses arguments and formats output: instants, seconds and days go in as
+epoch microseconds and epoch days, and come back as numbers and numpy
+columns that only this module turns into text. Numeric options are checked
+here, and config values in config.py, before any module sees them. main
+returns the exit status: 0, 1 for an AnalyticsError, or 2 for a usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from datetime import datetime, timedelta
+from datetime import timedelta
 from pathlib import Path
 from typing import Iterator
 
@@ -18,18 +22,19 @@ import numpy as np
 
 from . import anomaly as anomaly_mod
 from . import birdseye, heatmap, metrics, occupancy, synth
-from .config import COUNT, SECONDS, AppConfig, load_config, out_of_range
+from .config import COUNT, SECONDS, SIGMA, AppConfig, load_config, out_of_range
 from .errors import AnalyticsError, UnknownCamera
 from .records import RecordStore, ingest_stream
-from .timeutil import format_rfc3339, from_us, parse_date_utc, parse_rfc3339, to_us, window_days
+from .timeutil import format_rfc3339, from_us, parse_day, parse_rfc3339, window_days
 
 
 class UsageError(Exception):
     """Bad invocation detected after argparse (exit status 2)."""
 
 
-def _parse_time(text: str) -> datetime:
-    return from_us(parse_rfc3339(text))
+def _us(seconds: float) -> int:
+    """Microseconds of a seconds option, rounded as a timedelta rounds them."""
+    return round(timedelta(seconds=seconds).total_seconds() * 1_000_000)
 
 
 def _load_config(args) -> AppConfig:
@@ -39,7 +44,7 @@ def _load_config(args) -> AppConfig:
 
 
 # out_of_range bounds of each numeric option, by its argparse name
-_OPTION_BOUNDS = {"top": COUNT, "sigma": dict(low=0), "gamma": dict(low=0, above=True),
+_OPTION_BOUNDS = {"top": COUNT, "sigma": SIGMA, "gamma": dict(low=0, above=True),
                   "cell_size": dict(low=0, above=True), "bucket": SECONDS, "staleness": SECONDS}
 
 
@@ -109,16 +114,16 @@ def _occupancy_fields(row: tuple) -> str:
 def cmd_ingest(args, config: AppConfig, out) -> int:
     store = _open_store(args, config, create=True)
     if args.input == "-":
-        report = ingest_stream(sys.stdin, store)
+        report = ingest_stream(sys.stdin.buffer, store)
     else:
         path = Path(args.input)
         if not path.is_file():
             raise AnalyticsError(f"input {path} does not exist")
-        with path.open("r", encoding="utf-8") as fh:
+        with path.open("rb") as fh:
             report = ingest_stream(fh, store)
     store.close()
-    first = f'"{format_rfc3339(to_us(report.first_time))}"' if report.first_time else "null"
-    last = f'"{format_rfc3339(to_us(report.last_time))}"' if report.last_time else "null"
+    first = f'"{format_rfc3339(report.first_us)}"' if report.first_us is not None else "null"
+    last = f'"{format_rfc3339(report.last_us)}"' if report.last_us is not None else "null"
     out.write(
         f'{{"accepted":{report.accepted},"rejected":{report.rejected},'
         f'"first_time":{first},"last_time":{last}}}\n'
@@ -129,15 +134,15 @@ def cmd_ingest(args, config: AppConfig, out) -> int:
 def cmd_current(args, config: AppConfig, out) -> int:
     store = _open_store(args, config)
     if args.at:
-        now = _parse_time(args.at)
+        now_us = parse_rfc3339(args.at)
     else:
         bounds = store.time_bounds()
         if bounds is None:
             out.write("0\n")
             return 0
-        now = from_us(bounds[1])
-    staleness = timedelta(seconds=args.staleness if args.staleness is not None else config.staleness_s)
-    out.write(f"{metrics.current_count(store, now, staleness)}\n")
+        now_us = bounds[1]
+    staleness_us = _us(args.staleness if args.staleness is not None else config.staleness_s)
+    out.write(f"{metrics.current_count(store, now_us, staleness_us)}\n")
     return 0
 
 
@@ -156,25 +161,24 @@ def cmd_hourly(args, config: AppConfig, out) -> int:
     group = _group_from_args(args)
     if isinstance(group, int):
         _check_camera(config, group)
-    profile = metrics.hourly_average(
-        store, group, _parse_time(args.time_from), _parse_time(args.time_to),
+    samples, means = metrics.hourly_average(
+        store, group, parse_rfc3339(args.time_from), parse_rfc3339(args.time_to),
         location_map=config.location_map() or None,
     )
     out.write("hour,mean,samples\n")
-    for hour in sorted(profile.means):
-        out.write(f"{hour},{_fmt(profile.means[hour])},{profile.samples[hour]}\n")
+    for hour in np.flatnonzero(samples).tolist():
+        out.write(f"{hour},{_fmt(means[hour])},{samples[hour]}\n")
     return 0
 
 
 def cmd_total(args, config: AppConfig, out) -> int:
     store = _open_store(args, config)
-    series = metrics.total_over_time(
-        store, _parse_time(args.time_from), _parse_time(args.time_to),
-        timedelta(seconds=args.bucket),
+    starts, cumulative = metrics.total_over_time(
+        store, parse_rfc3339(args.time_from), parse_rfc3339(args.time_to), _us(args.bucket),
     )
     out.write("bucket_start,cumulative\n")
-    for start, value in series:
-        out.write(f"{format_rfc3339(to_us(start))},{value}\n")
+    for start, value in zip(starts.tolist(), cumulative.tolist()):
+        out.write(f"{format_rfc3339(start)},{value}\n")
     return 0
 
 
@@ -184,7 +188,7 @@ def cmd_peaks(args, config: AppConfig, out) -> int:
     if isinstance(group, int):
         _check_camera(config, group)
     ranked = metrics.peak_hours(
-        store, group, _parse_time(args.time_from), _parse_time(args.time_to),
+        store, group, parse_rfc3339(args.time_from), parse_rfc3339(args.time_to),
         args.top, location_map=config.location_map() or None,
     )
     out.write("hour,mean\n")
@@ -197,7 +201,7 @@ def cmd_occupancy(args, config: AppConfig, out) -> int:
     store = _open_store(args, config)
     _check_camera(config, args.camera)
     kwargs = dict(
-        holidays=config.holiday_days(),
+        holidays=config.holidays,
         min_samples=config.occupancy_min_samples,
         capacity=config.occupancy_history_capacity,
     )
@@ -231,7 +235,7 @@ def cmd_anomaly(args, config: AppConfig, out) -> int:
         t0_text, t1_text = args.replay.split("..", 1)
     except ValueError:
         raise UsageError("--replay wants a range like 2023-10-16T00:00:00Z..2023-10-17T00:00:00Z")
-    series = anomaly_mod.moments(store, args.camera, holidays=config.holiday_days(),
+    series = anomaly_mod.moments(store, args.camera, holidays=config.holidays,
                                  t0_us=parse_rfc3339(t0_text), t1_us=parse_rfc3339(t1_text))
     write = out.write
     write("window_start,count,mean,std,z,is_anomaly\n")
@@ -250,26 +254,21 @@ def cmd_anomaly(args, config: AppConfig, out) -> int:
 def cmd_bev(args, config: AppConfig, out) -> int:
     store = _open_store(args, config)
     cam = _camera_config(config, args.camera)
-    points = birdseye.window_bev(store, args.camera, cam, _parse_time(args.window))
+    points = birdseye.window_bev(store, args.camera, cam, parse_rfc3339(args.window))
     out.write("global_id,bev_x,bev_y\n")
-    for p in points:
-        out.write(f"{p.global_id},{_fmt(p.bev_x)},{_fmt(p.bev_y)}\n")
+    for gid, x, y in zip(points["global_id"].tolist(), points["bev_x"].tolist(), points["bev_y"].tolist()):
+        out.write(f"{gid},{_fmt(x)},{_fmt(y)}\n")
     return 0
 
 
 def cmd_heatmap(args, config: AppConfig, out) -> int:
     store = _open_store(args, config)
     cam = _camera_config(config, args.camera)
-    day = parse_date_utc(args.date)
-    points = birdseye.daily_bev(store, args.camera, cam, day)
-    mode = args.mode or config.heatmap_mode
-    if mode == "fixed":
-        geometry = heatmap.fixed_bounds_for(cam, config.heatmap_cols, config.heatmap_rows)
-        grid = heatmap.accumulate_grid(points, heatmap.Mode.FIXED_BOUNDS, geometry,
-                                       camera_id=args.camera, day=day)
+    points = birdseye.daily_bev(store, args.camera, cam, parse_day(args.date))
+    if (args.mode or config.heatmap_mode) == "fixed":
+        grid = heatmap.accumulate_grid(points, heatmap.fixed_bounds_for(cam, config.heatmap_cols, config.heatmap_rows))
     else:
-        grid = heatmap.accumulate_grid(points, heatmap.Mode.DATA_EXTENT, cell_size=args.cell_size,
-                                       camera_id=args.camera, day=day)
+        grid = heatmap.accumulate_grid(points, cell_size=args.cell_size)
     sigma = args.sigma if args.sigma is not None else config.heatmap_sigma
     if sigma > 0:
         grid = heatmap.gaussian_smooth(grid, heatmap.SmoothingSpec(sigma))
@@ -288,7 +287,7 @@ def cmd_heatmap(args, config: AppConfig, out) -> int:
 def cmd_simulate(args, config: AppConfig, out) -> int:
     profile = synth.load_profile(args.profile)
     n = synth.write_stream(
-        profile, _parse_time(args.time_from), _parse_time(args.time_to),
+        profile, from_us(parse_rfc3339(args.time_from)), from_us(parse_rfc3339(args.time_to)),
         args.out, args.truth,
     )
     out.write(f"{n} records -> {args.out}\n")
@@ -377,8 +376,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None, out=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has written the help (0) or a usage error (2)
+        return exc.code
     out = out if out is not None else sys.stdout
     try:
         _check_options(args)

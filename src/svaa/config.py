@@ -5,23 +5,24 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from datetime import date, timedelta
+from datetime import timedelta
 from pathlib import Path
 
 from . import anomaly, occupancy
 from .heatmap import MAX_GRID_SIDE
 from .birdseye import CameraConfig
-from .errors import InvalidConfig
-from .timeutil import date_to_day
+from .errors import InvalidConfig, InvalidTimestamp
+from .timeutil import parse_day
 
 # out_of_range bounds: for seconds whose timedelta is at least 1 microsecond and fits the type, and for a count
 SECONDS = dict(low=5e-7, above=True, high=86_400.0 * (timedelta.max.days + 1))
 COUNT = dict(low=1, integer=True)
 GRID_SIDE = dict(COUNT, high=MAX_GRID_SIDE + 1)
+SIGMA = dict(low=0, high=MAX_GRID_SIDE)  # in cells, so a kernel has at most 6 * MAX_GRID_SIDE + 1 taps
 # out_of_range bounds of each numeric parameter, by document key; its AppConfig field is the key with "_" for "."
 _NUMBERS = {"occupancy.min_samples": COUNT, "occupancy.history_capacity": COUNT,
             "anomaly.min_samples": dict(low=0, integer=True), "heatmap.cols": GRID_SIDE, "heatmap.rows": GRID_SIDE,
-            "heatmap.sigma": dict(low=0), "heatmap.gamma": dict(low=0, above=True), "staleness_s": SECONDS}
+            "heatmap.sigma": SIGMA, "heatmap.gamma": dict(low=0, above=True), "staleness_s": SECONDS}
 
 
 def out_of_range(value, low: float, high: float = math.inf, integer: bool = False, above: bool = False) -> str | None:
@@ -36,7 +37,7 @@ def out_of_range(value, low: float, high: float = math.inf, integer: bool = Fals
 class AppConfig:
     store: str | None = None
     cameras: list[CameraConfig] = field(default_factory=list)
-    holidays: tuple[date, ...] = ()
+    holidays: frozenset[int] = frozenset()  # epoch days
     occupancy_min_samples: int = occupancy.DEFAULT_MIN_SAMPLES
     occupancy_history_capacity: int = occupancy.DEFAULT_CAPACITY
     anomaly_min_samples: int = anomaly.DEFAULT_MIN_SAMPLES
@@ -65,9 +66,6 @@ class AppConfig:
         """Every configured camera's location label, "" for a camera without one."""
         return {c.camera_id: c.location for c in self.cameras}
 
-    def holiday_days(self) -> frozenset[int]:
-        return frozenset(date_to_day(d) for d in self.holidays)
-
 
 def config_from_dict(obj: dict) -> AppConfig:
     try:
@@ -88,7 +86,7 @@ def config_from_dict(obj: dict) -> AppConfig:
         return AppConfig(
             store=obj.get("store"),
             cameras=cameras,
-            holidays=tuple(date.fromisoformat(d) for d in obj.get("holidays", ())),
+            holidays=frozenset(parse_day(d) for d in obj.get("holidays", ())),
             occupancy_min_samples=occ.get("min_samples", occupancy.DEFAULT_MIN_SAMPLES),
             occupancy_history_capacity=occ.get("history_capacity", occupancy.DEFAULT_CAPACITY),
             anomaly_min_samples=ano.get("min_samples", anomaly.DEFAULT_MIN_SAMPLES),
@@ -99,7 +97,7 @@ def config_from_dict(obj: dict) -> AppConfig:
             heatmap_gamma=heat.get("gamma", 1.0),
             staleness_s=obj.get("staleness_s", 5.0),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, InvalidTimestamp) as exc:
         raise InvalidConfig(f"bad config document: {exc}") from exc
 
 

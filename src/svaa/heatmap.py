@@ -1,41 +1,37 @@
 """Daily spatial accumulation grids with Gaussian smoothing and portable renders.
 
-Two accumulation modes: DATA_EXTENT sizes the grid from the data itself
-(shape = max quantized index + 1 per axis), FIXED_BOUNDS bins into an
-explicit geometry and clamps strays to the border, which keeps grids of
-different days shape-identical and directly comparable. Smoothing uses a
-truncated separable Gaussian whose per-source weights are renormalized over
-the in-grid part of the kernel, so total mass is preserved exactly. A
-DATA_EXTENT grid of more than MAX_GRID_CELLS cells is refused with
-GridTooLarge before it is allocated; the configuration bounds a fixed grid
-to MAX_GRID_SIDE cells a side, so it stays within the same limit.
+accumulate_grid bins bird's-eye points, the birdseye.BEV_POINT rows of a
+day, in one of two ways. Given a GridGeometry it bins into those fixed
+bounds and clamps strays to the border, which keeps grids of different days
+shape-identical and directly comparable. Without one it sizes the grid from
+the data itself (shape = max quantized index + 1 per axis). Smoothing uses
+a truncated separable Gaussian whose per-source weights are renormalized
+over the in-grid part of the kernel, so total mass is preserved exactly. An
+extent grid of more than MAX_GRID_CELLS cells is refused with GridTooLarge
+before it is allocated; the configuration bounds a fixed grid to
+MAX_GRID_SIDE cells a side, so it stays within the same limit. The numeric
+parameters are the caller's to check: the CLI and the configuration refuse
+a cell size or gamma that is not positive, and a sigma outside [0,
+MAX_GRID_SIDE), before they reach here; a sigma of 0 means no smoothing.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, replace
-from datetime import date
-from typing import Sequence
 
 import numpy as np
 
-from .birdseye import MIN_NORMALIZED_H, BevPoint, CameraConfig
+from .birdseye import MIN_NORMALIZED_H, CameraConfig
 from .errors import EmptyInput, GridTooLarge
 
 MAX_GRID_SIDE = 1024  # the most columns or rows of a configured grid
 MAX_GRID_CELLS = MAX_GRID_SIDE * MAX_GRID_SIDE  # the most cells of any grid, 8 MiB of float64
 
 
-class Mode(enum.Enum):
-    FIXED_BOUNDS = "fixed"
-    DATA_EXTENT = "extent"
-
-
 @dataclass(frozen=True, slots=True)
 class GridGeometry:
-    """Explicit grid bounds and resolution for FIXED_BOUNDS accumulation."""
+    """Fixed grid bounds and resolution, with x_min < x_max, y_min < y_max and at least one cell a side."""
 
     x_min: float
     x_max: float
@@ -43,12 +39,6 @@ class GridGeometry:
     y_max: float
     n_cols: int = 64
     n_rows: int = 64
-
-    def __post_init__(self):
-        if self.x_max <= self.x_min or self.y_max <= self.y_min:
-            raise ValueError("grid bounds must have positive extent")
-        if self.n_cols < 1 or self.n_rows < 1:
-            raise ValueError("grid must have at least one cell per axis")
 
     @property
     def cell_w(self) -> float:
@@ -74,8 +64,6 @@ class HeatGrid:
     y_min: float
     cell_w: float
     cell_h: float
-    camera_id: int | None = None
-    day: date | None = None
 
     @property
     def n_rows(self) -> int:
@@ -90,25 +78,16 @@ class HeatGrid:
         return float(self.cells.sum())
 
 
-def accumulate_grid(
-    points: Sequence[BevPoint],
-    mode: Mode,
-    geometry: GridGeometry | None = None,
-    cell_size: float = 1.0,
-    camera_id: int | None = None,
-    day: date | None = None,
-) -> HeatGrid:
-    """Bin BevPoints into integer per-cell counts.
+def accumulate_grid(points: np.ndarray, geometry: GridGeometry | None = None, cell_size: float = 1.0) -> HeatGrid:
+    """Bin points, by their bev_x and bev_y, into integer per-cell counts.
 
-    FIXED_BOUNDS requires a geometry and clamps out-of-bounds points to the
-    border cell; DATA_EXTENT derives the extent from the data (grid origin
-    aligned down to the cell grid) and refuses empty input.
+    With a geometry the grid has its fixed bounds, and a point outside them
+    is clamped to the border cell. Without one the grid spans the data's
+    extent in cells of cell_size (its origin aligned down to the cell grid)
+    and refuses empty input.
     """
-    xs = np.array([p.bev_x for p in points], dtype=np.float64)
-    ys = np.array([p.bev_y for p in points], dtype=np.float64)
-    if mode is Mode.FIXED_BOUNDS:
-        if geometry is None:
-            raise ValueError("FIXED_BOUNDS accumulation needs an explicit geometry")
+    xs, ys = points["bev_x"], points["bev_y"]
+    if geometry is not None:
         cell_w, cell_h = geometry.cell_w, geometry.cell_h
         x_min, y_min = geometry.x_min, geometry.y_min
         n_cols, n_rows = geometry.n_cols, geometry.n_rows
@@ -116,9 +95,7 @@ def accumulate_grid(
         rows = np.clip(np.floor((ys - y_min) / cell_h).astype(np.int64), 0, n_rows - 1)
     else:
         if len(points) == 0:
-            raise EmptyInput("DATA_EXTENT accumulation needs at least one point")
-        if cell_size <= 0:
-            raise ValueError("cell_size must be positive")
+            raise EmptyInput("an extent grid needs at least one point")
         cell_w = cell_h = float(cell_size)
         with np.errstate(over="ignore", invalid="ignore"):  # a tiny cell size overflows; it is refused below
             x_min = np.floor(xs.min() / cell_w) * cell_w
@@ -132,18 +109,14 @@ def accumulate_grid(
         n_rows = int(rows.max()) + 1
     cells = np.zeros((n_rows, n_cols), dtype=np.float64)
     np.add.at(cells, (rows, cols), 1.0)
-    return HeatGrid(cells, float(x_min), float(y_min), cell_w, cell_h, camera_id, day)
+    return HeatGrid(cells, float(x_min), float(y_min), cell_w, cell_h)
 
 
 @dataclass(frozen=True, slots=True)
 class SmoothingSpec:
     """Gaussian smoothing parameters: sigma in cells, kernel truncated at 3 sigma."""
 
-    sigma: float
-
-    def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+    sigma: float  # positive
 
     @property
     def radius(self) -> int:
@@ -166,7 +139,7 @@ def gaussian_smooth(grid: HeatGrid, spec: SmoothingSpec) -> HeatGrid:
 
     Each source cell's mass is redistributed with the truncated kernel
     renormalized over its in-grid support, so sum(cells) is unchanged and no
-    cell can go negative. Geometry and metadata carry over.
+    cell can go negative. The geometry carries over.
     """
     kernel = spec.kernel()
     radius = spec.radius
@@ -189,11 +162,10 @@ def peak_intensity(grid: HeatGrid) -> float:
 def render_pgm(grid: HeatGrid, gamma: float = 1.0) -> bytes:
     """Plain-text portable graymap (P2), max gray 255, gamma-scaled.
 
-    Cell values map to round(255 * (v / max)**gamma); an all-zero grid
-    renders all zeros. Output bytes are identical for identical inputs.
+    Cell values map to round(255 * (v / max)**gamma) for a positive gamma;
+    an all-zero grid renders all zeros. Output bytes are identical for
+    identical inputs.
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
     vmax = peak_intensity(grid)
     if vmax > 0:
         levels = np.rint(255.0 * np.power(grid.cells / vmax, gamma)).astype(np.int64)

@@ -24,12 +24,11 @@ import numpy as np
 
 from .errors import EmptyHistory, InvalidTimestamp
 from .records import RecordStore, window_count_series
-from .timeutil import (US_PER_DAY, US_PER_HOUR, WINDOW_US, epoch_day, format_rfc3339, from_us, hour_of_day,
-                       is_weekend, to_us, window_start)
+from .timeutil import (LAST_US, US_PER_DAY, US_PER_HOUR, WINDOW_US, epoch_day, format_rfc3339, from_us,
+                       hour_of_day, is_weekend, to_us, window_start)
 
 DEFAULT_MIN_SAMPLES = 20  # below this a bucket classifies as UNKNOWN
 DEFAULT_CAPACITY = 10_080  # ~14 days of one hour-slot at 720 windows/hour
-_LAST_US = to_us(datetime.max)  # 9999-12-31T23:59:59.999999Z, the last instant RFC 3339 writes
 
 
 class DayClass(enum.Enum):
@@ -123,8 +122,6 @@ def classify_slot(counts: np.ndarray, capacity: int = DEFAULT_CAPACITY,
     value whose running sum reaches ceil(p/100 * size). Windows are taken a
     block at a time, so scratch memory does not grow with the sequence.
     """
-    if capacity < 1:
-        raise ValueError("capacity must be positive")
     m = len(counts)
     if min_samples < 1 and m:
         raise EmptyHistory("percentile of an empty bucket")
@@ -192,8 +189,8 @@ def level_at(store: RecordStore, camera_id: int, at_us: int, *, holidays: frozen
     past the last RFC 3339 instant and is refused with InvalidTimestamp.
     """
     target = window_start(at_us)
-    if target + WINDOW_US > _LAST_US:
-        raise InvalidTimestamp(f"the window from {format_rfc3339(target)} ends after {format_rfc3339(_LAST_US)}")
+    if target + WINDOW_US > LAST_US:
+        raise InvalidTimestamp(f"the window from {format_rfc3339(target)} ends after {format_rfc3339(LAST_US)}")
     bounds = store.time_bounds(camera_id)
     if bounds is None or window_start(bounds[0]) > target:
         return None

@@ -129,8 +129,8 @@ class DetectionRecord:
 class IngestReport:
     accepted: int = 0
     rejected: int = 0
-    first_time: datetime | None = None
-    last_time: datetime | None = None
+    first_us: int | None = None  # the least record time of the accepted lines
+    last_us: int | None = None  # and the greatest
 
 
 _NUMBER = (int, float)
@@ -458,21 +458,23 @@ def _lines_before(path: Path, n: int) -> int:
         return fh.read(n).count(b"\n")
 
 
-def _parse_stored(raws: list[bytes]) -> tuple[np.ndarray, dict[str, np.ndarray], list[tuple[int, Exception]]]:
-    """_parse_batch over raw stored lines; the first line that is not UTF-8 is refused and ends the batch."""
-    try:
-        lines = [line.strip() for line in b"".join(raws).decode("utf-8").split("\n")[:len(raws)]]
-        bad = []
-    except UnicodeDecodeError:
-        lines, bad = [], []
-        for raw in raws:
+def _parse_lines(raws: list) -> tuple[list[str], np.ndarray, dict[str, np.ndarray], list[tuple[int, Exception]]]:
+    """_parse_batch over lines given as str or as UTF-8 bytes: (stripped lines, kept, columns, rejects).
+
+    A bytes line that is not UTF-8 reads as a blank line and is refused with
+    MalformedLine, in line order among the other rejects.
+    """
+    lines, bad = [], []
+    for i, raw in enumerate(raws):
+        if isinstance(raw, bytes):
             try:
-                lines.append(raw.decode("utf-8").strip())
+                raw = raw.decode("utf-8")
             except UnicodeDecodeError as exc:
-                bad = [(len(lines), MalformedLine(f"not UTF-8: {exc}"))]
-                break
+                raw = ""
+                bad.append((i, MalformedLine(f"not UTF-8: {exc}")))
+        lines.append(raw.strip())
     kept, columns, rejects = _parse_batch(lines)
-    return kept, columns, rejects + bad
+    return lines, kept, columns, sorted(rejects + bad, key=lambda reject: reject[0])
 
 
 class _CameraFile:
@@ -564,7 +566,7 @@ class RecordStore:
                 data = b"".join(raws)
                 f.sha.update(data)
                 f.covered += len(data)
-                _, columns, rejects = _parse_stored(raws)
+                _, _, columns, rejects = _parse_lines(raws)
                 if rejects:
                     i, exc = rejects[0]
                     lineno = _lines_before(f.path, from_snapshot) + past + i + 1
@@ -574,7 +576,7 @@ class RecordStore:
                 if f.torn:
                     break
         if f.torn:
-            kept, columns, rejects = _parse_stored([f.torn])
+            _, kept, columns, rejects = _parse_lines([f.torn])
             if rejects:
                 lineno = _lines_before(f.path, from_snapshot) + past + 1
                 logger.warning("%s:%d: ignoring a torn last line: %s", f.path, lineno, rejects[0][1])
@@ -752,20 +754,19 @@ class RecordStore:
         return lo, hi
 
 
-def ingest_stream(source: Iterable[str], store: RecordStore) -> IngestReport:
+def ingest_stream(source: Iterable[str | bytes], store: RecordStore) -> IngestReport:
     """Append every valid line from source; log and skip invalid ones.
 
-    Rejected lines never abort the stream. The report's first/last times are
-    the min/max record times among accepted lines. Lines are parsed and
-    appended _BATCH_LINES at a time.
+    Lines are str, or bytes read as UTF-8, so a line that is not UTF-8 is
+    rejected like any other bad line. Rejected lines never abort the stream.
+    The report's first_us/last_us are the min/max record times among
+    accepted lines. Lines are parsed and appended _BATCH_LINES at a time.
     """
     report = IngestReport()
-    first_us: int | None = None
-    last_us: int | None = None
     source = iter(source)
     start = 1  # the number of the batch's first line
-    while batch := [line.strip() for line in islice(source, _BATCH_LINES)]:
-        kept, columns, rejects = _parse_batch(batch)
+    while raws := list(islice(source, _BATCH_LINES)):
+        batch, kept, columns, rejects = _parse_lines(raws)
         for i, exc in rejects:
             logger.warning("rejected line %d: %s", start + i, exc)
         report.rejected += len(rejects)
@@ -773,13 +774,10 @@ def ingest_stream(source: Iterable[str], store: RecordStore) -> IngestReport:
             store._append_batch(batch, kept, columns)
             report.accepted += len(kept)
             lo, hi = int(columns["times"].min()), int(columns["times"].max())
-            first_us = lo if first_us is None else min(first_us, lo)
-            last_us = hi if last_us is None else max(last_us, hi)
-        start += len(batch)
+            report.first_us = lo if report.first_us is None else min(report.first_us, lo)
+            report.last_us = hi if report.last_us is None else max(report.last_us, hi)
+        start += len(raws)
     store.flush()
-    if first_us is not None and last_us is not None:
-        report.first_time = from_us(first_us)
-        report.last_time = from_us(last_us)
     return report
 
 

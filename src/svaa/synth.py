@@ -20,7 +20,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import InvalidProfile
+from .errors import InvalidProfile, InvalidTimestamp
 from .records import distinct_pairs
 from .timeutil import (
     US_PER_DAY,
@@ -29,6 +29,7 @@ from .timeutil import (
     day_to_date,
     format_rfc3339,
     is_weekend,
+    parse_day,
     to_us,
 )
 
@@ -317,10 +318,10 @@ def profile_from_dict(obj: dict) -> SimProfile:
             duration_range_s=tuple(obj.get("duration_range_s", (8.0, 25.0))),
             height_frac_range=tuple(obj.get("height_frac_range", (0.08, 0.35))),
             emission_period_s=obj.get("emission_period_s", 0.5),
-            holidays=tuple(date.fromisoformat(d) for d in obj.get("holidays", ())),
+            holidays=tuple(day_to_date(parse_day(d)) for d in obj.get("holidays", ())),
             seed=obj.get("seed", 0),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, InvalidTimestamp) as exc:
         raise InvalidProfile(f"bad profile document: {exc}") from exc
 
 

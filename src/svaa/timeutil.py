@@ -1,8 +1,14 @@
 """UTC time helpers.
 
-All analytics run on integer microseconds since the Unix epoch; datetimes
-appear only at API boundaries. The 5-second analytics grid is aligned to
-the epoch, so bucketing is reproducible regardless of data arrival.
+Every module boundary of the analytics passes integer microseconds since the
+Unix epoch, or epoch days, and numpy columns of them. The CLI parses its
+instants with parse_rfc3339 and its days with parse_day, and writes them
+back with format_rfc3339 and window_days. Datetimes remain only in synth
+(its spans and holidays), in the CLI's `simulate` that calls it, in the
+record schema's DetectionRecord, and in the occupancy.replay and
+anomaly.replay facades, which the benchmark's spans still patch. The
+5-second analytics grid is aligned to the epoch, so bucketing is
+reproducible regardless of data arrival.
 """
 
 from __future__ import annotations
@@ -36,6 +42,10 @@ def to_us(dt: datetime) -> int:
 
 def from_us(us: int) -> datetime:
     return EPOCH + timedelta(microseconds=int(us))
+
+
+FIRST_US = to_us(datetime.min)  # 0001-01-01T00:00:00Z, the first instant RFC 3339 writes
+LAST_US = to_us(datetime.max)  # 9999-12-31T23:59:59.999999Z, the last
 
 
 # YYYY-MM-DD[Tt ]HH:MM:SS[.digits][Z|z|+HH:MM|-HH:MM]. The calendar and clock
@@ -111,11 +121,18 @@ def format_rfc3339(us: int) -> str:
     return f"{_date_text(day)}T{hh:02d}:{mm:02d}:{ss:02d}Z"
 
 
-def parse_date_utc(text: str) -> date:
-    try:
-        return date.fromisoformat(text.strip())
-    except ValueError as exc:
-        raise InvalidTimestamp(f"unparseable date {text!r}") from exc
+_DAY = re.compile(r"(\d{4})-(\d\d)-(\d\d)", re.ASCII)
+
+
+def parse_day(text: str) -> int:
+    """Parse a YYYY-MM-DD calendar day to its epoch day; anything else, such as 20231016, is an InvalidTimestamp."""
+    match = _DAY.fullmatch(text.strip()) if isinstance(text, str) else None
+    if match:
+        try:
+            return date_to_day(date(*map(int, match.groups())))
+        except ValueError:
+            pass
+    raise InvalidTimestamp(f"not a YYYY-MM-DD day {text!r}")
 
 
 def floor_to(us: int, step_us: int) -> int:

@@ -5,28 +5,30 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from svaa.birdseye import (
+    BEV_POINT,
     MIN_NORMALIZED_H,
-    BevPoint,
     CameraConfig,
     daily_bev,
     window_bev,
 )
 from svaa.errors import CameraMismatch, InvalidBBox, InvalidConfig
-from svaa.timeutil import format_rfc3339, to_us
+from svaa.timeutil import US_PER_DAY, format_rfc3339, to_us
 
 from conftest import make_line, store_from_lines, utc
 
 CAM = CameraConfig(1, 1920, 1080, 50.0, 70.0, "test")  # theta_mid = 60 degrees
+DAY = to_us(utc(2023, 10, 16)) // US_PER_DAY  # the epoch day of 2023-10-16
 
 
-def _point(bbox, cam=CAM, when=utc(2023, 10, 16, 9, 0, 2)) -> BevPoint:
-    """The one point window_bev gives for a memory store that holds one box."""
-    line = make_line(record_time=format_rfc3339(to_us(when)), camera_id=cam.camera_id, bbox=bbox, global_id=7)
+def _point(bbox, cam=CAM, when=to_us(utc(2023, 10, 16, 9, 0, 2))) -> np.void:
+    """The one BEV_POINT row window_bev gives for a memory store that holds one box."""
+    line = make_line(record_time=format_rfc3339(when), camera_id=cam.camera_id, bbox=bbox, global_id=7)
     (point,) = window_bev(store_from_lines([line]), cam.camera_id, cam, when)
     return point
 
@@ -36,6 +38,7 @@ class TestCameraConfig:
         dict(width=0), dict(height=-5),
         dict(min_teta=0.0), dict(min_teta=70.0, max_teta=50.0),
         dict(max_teta=90.0), dict(min_teta=-10.0),
+        dict(min_teta=5e-324, max_teta=1e-323),  # the mid angle is 0 radians, so a fixed grid would have no extent
     ])
     def test_invariants(self, kwargs):
         base = dict(camera_id=1, width=1920, height=1080, min_teta=50.0, max_teta=70.0)
@@ -51,17 +54,17 @@ class TestScaleFactor:
     """The depth bev_y is tan(theta_mid) / max(normalized box height, 0.01)."""
 
     def test_full_height(self):
-        assert _point((0, 0, 100, 1080)).bev_y == pytest.approx(1.7320508, abs=1e-6)
+        assert _point((0, 0, 100, 1080))["bev_y"] == pytest.approx(1.7320508, abs=1e-6)
 
     def test_half_height_doubles(self):
-        assert _point((0, 0, 100, 540)).bev_y == pytest.approx(3.4641016, abs=1e-6)
+        assert _point((0, 0, 100, 540))["bev_y"] == pytest.approx(3.4641016, abs=1e-6)
 
     def test_zero_clamps(self):  # a 1-pixel box is below the clamp
-        assert _point((0, 0, 100, 1)).bev_y == pytest.approx(math.tan(math.radians(60)) / 0.01)
+        assert _point((0, 0, 100, 1))["bev_y"] == pytest.approx(math.tan(math.radians(60)) / 0.01)
 
     def test_strictly_decreasing_above_clamp(self):
         heights = [0.02, 0.1, 0.3, 0.5, 0.9, 1.0]
-        depths = [_point((0, 0, 100, h * 1080)).bev_y for h in heights]
+        depths = [_point((0, 0, 100, h * 1080))["bev_y"] for h in heights]
         assert all(a > b for a, b in zip(depths, depths[1:]))
 
 
@@ -73,37 +76,37 @@ class TestBevTransform:
         normalized_h = 100 / 1080
         depth = math.tan(math.radians(60.0)) / max(normalized_h, MIN_NORMALIZED_H)
         cx = 100 + 50 / 2
-        assert point.bev_y == pytest.approx(depth, rel=1e-12)
-        assert point.bev_y == pytest.approx(18.706148, abs=1e-5)
-        assert point.bev_x == pytest.approx((cx / 1920 - 0.5) * depth, rel=1e-12)
-        assert point.bev_x == pytest.approx(-8.135226, abs=1e-5)
+        assert point["bev_y"] == pytest.approx(depth, rel=1e-12)
+        assert point["bev_y"] == pytest.approx(18.706148, abs=1e-5)
+        assert point["bev_x"] == pytest.approx((cx / 1920 - 0.5) * depth, rel=1e-12)
+        assert point["bev_x"] == pytest.approx(-8.135226, abs=1e-5)
 
     def test_centered_box_on_axis(self):
         point = _point((1920 / 2 - 25, 200, 50, 100))
-        assert point.bev_x == 0.0
+        assert point["bev_x"] == 0.0
 
     def test_taller_means_nearer(self):
         near = _point((935, 100, 50, 400))
         far = _point((935, 100, 50, 200))
-        assert near.bev_y < far.bev_y
+        assert near["bev_y"] < far["bev_y"]
 
     def test_camera_mismatch(self, mem_store):
         with pytest.raises(CameraMismatch):
-            daily_bev(mem_store, 2, CAM, utc(2023, 10, 16).date())
+            daily_bev(mem_store, 2, CAM, DAY)
 
     def test_bbox_must_fit_frame(self):
-        assert _point((1870, 980, 50, 100)).bev_y > 0  # touches the right and bottom edges
+        assert _point((1870, 980, 50, 100))["bev_y"] > 0  # touches the right and bottom edges
         for box in ((1900, 0, 50, 100), (0, 1000, 50, 100)):
             store = store_from_lines([make_line(bbox=(100, 200, 50, 100), global_id=1),
                                       make_line(bbox=box, global_id=2, local_id=2)])
             with pytest.raises(InvalidBBox, match="does not fit the 1920x1080 frame of camera 1"):
-                window_bev(store, 1, CAM, utc(2023, 10, 16, 9))
+                window_bev(store, 1, CAM, to_us(utc(2023, 10, 16, 9)))
             with pytest.raises(InvalidBBox):
-                daily_bev(store, 1, CAM, utc(2023, 10, 16).date())
+                daily_bev(store, 1, CAM, DAY)
 
     def test_window_start_aligned(self):
-        point = _point((100, 200, 50, 100), when=utc(2023, 10, 16, 9, 0, 7))
-        assert point.window_start == utc(2023, 10, 16, 9, 0, 5)
+        point = _point((100, 200, 50, 100), when=to_us(utc(2023, 10, 16, 9, 0, 7)))
+        assert point["window_us"] == to_us(utc(2023, 10, 16, 9, 0, 5)) and point["global_id"] == 7
 
 
 def _window_lines(boxes_by_gid, second_offsets=None):
@@ -121,7 +124,7 @@ def _window_lines(boxes_by_gid, second_offsets=None):
 
 
 class TestWindowBev:
-    WINDOW = utc(2023, 10, 16, 9, 0, 0)
+    WINDOW = to_us(utc(2023, 10, 16, 9, 0, 0))
 
     def test_thirteen_records_nine_points(self):
         boxes = {gid: [(100 + gid, 200, 50, 100)] for gid in range(1, 10)}
@@ -135,17 +138,18 @@ class TestWindowBev:
     def test_averaging_idempotent_for_identical_boxes(self):
         repeated = store_from_lines(_window_lines({4: [(300, 220, 60, 120)] * 5}))
         single = store_from_lines(_window_lines({4: [(300, 220, 60, 120)]}))
-        assert window_bev(repeated, 1, CAM, self.WINDOW) == window_bev(single, 1, CAM, self.WINDOW)
+        assert np.array_equal(window_bev(repeated, 1, CAM, self.WINDOW), window_bev(single, 1, CAM, self.WINDOW))
 
     def test_average_then_project(self):
         store = store_from_lines(_window_lines({9: [(100, 200, 50, 80), (120, 210, 54, 120)]}))
         (point,) = window_bev(store, 1, CAM, self.WINDOW)
         expected = _point(((100 + 120) / 2, (200 + 210) / 2, (50 + 54) / 2, 100.0), when=self.WINDOW)
-        assert point.bev_x == pytest.approx(expected.bev_x, rel=1e-12)
-        assert point.bev_y == pytest.approx(expected.bev_y, rel=1e-12)
+        assert point["bev_x"] == pytest.approx(expected["bev_x"], rel=1e-12)
+        assert point["bev_y"] == pytest.approx(expected["bev_y"], rel=1e-12)
 
     def test_empty_window(self, mem_store):
-        assert window_bev(mem_store, 1, CAM, self.WINDOW) == []
+        points = window_bev(mem_store, 1, CAM, self.WINDOW)
+        assert points.dtype == BEV_POINT and len(points) == 0
 
     def test_only_humans_projected(self):
         lines = [
@@ -153,12 +157,12 @@ class TestWindowBev:
             make_line(bbox=(300, 200, 50, 100), global_id=2, class_id=5, local_id=2),
         ]
         store = store_from_lines(lines)
-        assert len(window_bev(store, 1, CAM, utc(2023, 10, 16, 9, 0, 0))) == 1
+        assert len(window_bev(store, 1, CAM, self.WINDOW)) == 1
 
     def test_unaligned_start_floors(self):
         store = store_from_lines(_window_lines({4: [(300, 220, 60, 120)]}))
         aligned = window_bev(store, 1, CAM, self.WINDOW)
-        assert window_bev(store, 1, CAM, utc(2023, 10, 16, 9, 0, 3)) == aligned
+        assert np.array_equal(window_bev(store, 1, CAM, self.WINDOW + 3_000_000), aligned)
 
     def test_camera_mismatch(self, mem_store):
         with pytest.raises(CameraMismatch):
@@ -180,18 +184,12 @@ class TestDailyBev:
                 bbox=(x, y, w, h), global_id=rng.randrange(1, 40), local_id=i + 1,
             ))
         store = store_from_lines(lines)
-        bulk = daily_bev(store, 1, CAM, utc(2023, 10, 16).date())
-        windows = sorted({to_us(p.window_start) for p in bulk})
-        pieced = []
-        from svaa.timeutil import from_us
-        for ws in windows:
-            pieced.extend(window_bev(store, 1, CAM, from_us(ws)))
+        bulk = daily_bev(store, 1, CAM, DAY)
+        pieced = np.concatenate([window_bev(store, 1, CAM, ws) for ws in np.unique(bulk["window_us"]).tolist()])
         assert len(bulk) == len(pieced)
-        for a, b in zip(sorted(bulk, key=lambda p: (to_us(p.window_start), p.global_id)),
-                        sorted(pieced, key=lambda p: (to_us(p.window_start), p.global_id))):
-            assert a.global_id == b.global_id
-            assert a.bev_x == pytest.approx(b.bev_x, rel=1e-12, abs=1e-12)
-            assert a.bev_y == pytest.approx(b.bev_y, rel=1e-12)
+        assert np.array_equal(bulk[["window_us", "global_id"]], pieced[["window_us", "global_id"]])
+        assert np.allclose(bulk["bev_x"], pieced["bev_x"], rtol=1e-12, atol=1e-12)
+        assert np.allclose(bulk["bev_y"], pieced["bev_y"], rtol=1e-12, atol=0)
 
 
 @st.composite
@@ -214,7 +212,7 @@ def test_depth_monotone_in_height(box, h1, h2):
     def project(h):
         bx = cx_frac * 1920 - w / 2
         return _point((min(max(bx, 0), 1920 - w), 0, w, h))
-    assert project(h_big).bev_y < project(h_small).bev_y
+    assert project(h_big)["bev_y"] < project(h_small)["bev_y"]
 
 
 @given(in_frame_box())
@@ -223,8 +221,8 @@ def test_scale_invariance_under_2x(box):
     x, y, w, h = box
     small = _point((x, y, w, h))
     big = _point((2 * x, 2 * y, 2 * w, 2 * h), CameraConfig(1, 3840, 2160, 50.0, 70.0, "test"))
-    assert big.bev_x == pytest.approx(small.bev_x, abs=1e-12)
-    assert big.bev_y == pytest.approx(small.bev_y, rel=1e-12)
+    assert big["bev_x"] == pytest.approx(small["bev_x"], abs=1e-12)
+    assert big["bev_y"] == pytest.approx(small["bev_y"], rel=1e-12)
 
 
 @given(st.integers(12, 600), st.integers(0, 900), st.integers(0, 900))
@@ -236,12 +234,12 @@ def test_left_right_order_preserved(h, x1, x2):
     w = 100
     a = _point((lo, 0, w, h))
     b = _point((hi, 0, w, h))
-    assert a.bev_x < b.bev_x
+    assert a["bev_x"] < b["bev_x"]
 
 
 @given(in_frame_box())
 @settings(max_examples=100)
 def test_lateral_extent_bounded_by_depth(box):
     point = _point(box)
-    assert point.bev_y > 0
-    assert abs(point.bev_x) <= 0.5 * point.bev_y + 1e-12
+    assert point["bev_y"] > 0
+    assert abs(point["bev_x"]) <= 0.5 * point["bev_y"] + 1e-12

@@ -5,16 +5,21 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import logging
 import random
 import shutil
 import tracemalloc
 from datetime import datetime, timedelta
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from svaa import cli, metrics, synth
 from svaa.records import RecordStore, ingest_stream
+from svaa.timeutil import parse_day
 
 from conftest import make_line
 
@@ -485,7 +490,7 @@ BAD_NUMBERS = [  # argv, config document, exit code, error class, start of its m
     (("current", "--staleness", "nan"), {}, 2, "UsageError", "--staleness must be"),
     ((*HEATMAP, "--gamma", 0), {}, 2, "UsageError", "--gamma must be a number in (0, inf)"),
     ((*HEATMAP, "--mode", "extent", "--cell-size", 0), {}, 2, "UsageError", "--cell-size must be"),
-    ((*HEATMAP, "--sigma", -1), {}, 2, "UsageError", "--sigma must be a number in [0, inf)"),
+    ((*HEATMAP, "--sigma", -1), {}, 2, "UsageError", "--sigma must be a number in [0, 1024)"),
     ((*HEATMAP, "--sigma", "inf"), {}, 2, "UsageError", "--sigma must be"),
     (("occupancy", "--camera", 1, "--at", T0), {"occupancy": {"history_capacity": 0}}, 1, "InvalidConfig",
      "occupancy.history_capacity must be an integer in [1, inf), got 0"),
@@ -525,6 +530,20 @@ def test_sigma_0_still_turns_smoothing_off(tmp_path):
     assert peaks[0] == 1 > peaks[1]  # one point: unsmoothed, its cell holds all of the mass
 
 
+def test_a_sigma_of_1024_cells_or_more_is_refused(tmp_path, capsys):
+    """A sigma of 1e9 cells asked for a 45 GiB kernel, and 1e20 ended in a bare ValueError."""
+    store, config = _tiny_store(tmp_path)
+    out = tmp_path / "heat.pgm"
+    assert run(*HEATMAP, "--sigma", 1023.5, "--out", out, "--store", store, "--config", config)[0] == 0
+    for sigma in (1024, 1e9, 1e20):
+        capsys.readouterr()
+        assert run(*HEATMAP, "--sigma", sigma, "--out", out, "--store", store, "--config", config) == (2, "")
+        assert capsys.readouterr().err.startswith("svaa: --sigma must be a number in [0, 1024)")
+    config.write_text(json.dumps({**json.loads(config.read_text()), "heatmap": {"sigma": 1e20}}))
+    assert run(*HEATMAP, "--out", out, "--store", store, "--config", config) == (1, "")
+    assert capsys.readouterr().err.startswith("svaa: InvalidConfig: heatmap.sigma must be a number in [0, 1024)")
+
+
 @pytest.mark.parametrize("command", [("bev", "--camera", 1, "--window", f"{DAY}T09:00:00Z"),
                                      (*HEATMAP, "--out", "heat.pgm")])
 def test_box_past_the_configured_frame_exits_1(tmp_path, capsys, monkeypatch, command):
@@ -536,3 +555,121 @@ def test_box_past_the_configured_frame_exits_1(tmp_path, capsys, monkeypatch, co
         in capsys.readouterr().err
     config.write_text(json.dumps({"cameras": [{"camera_id": 1, "min_teta": 20.0, "max_teta": 60.0, "width": 1950}]}))
     assert run(*command, "--store", store, "--config", config)[0] == 0
+
+
+NOT_UTF8 = b'{"a":1}\n\xff\n' + make_line().encode() + b"\n\xc3(\n"  # lines 2 and 4 are not UTF-8
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_ingest_rejects_each_line_that_is_not_utf8_and_goes_on(tmp_path, monkeypatch, caplog, source):
+    if source == "stdin":
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(NOT_UTF8)))
+        path = "-"
+    else:
+        path = tmp_path / "input.jsonl"
+        path.write_bytes(NOT_UTF8)
+    with caplog.at_level(logging.WARNING, logger="svaa.records"):
+        rc, out = run("ingest", path, "--store", tmp_path / "store")
+    assert rc == 0 and json.loads(out) == {"accepted": 1, "rejected": 3, "first_time": "2023-10-16T09:00:00Z",
+                                           "last_time": "2023-10-16T09:00:00Z"}
+    warnings = [record.getMessage() for record in caplog.records]
+    assert [text.split(":")[0] for text in warnings] == ["rejected line 1", "rejected line 2", "rejected line 4"]
+    assert "not UTF-8" in warnings[1] and "not UTF-8" in warnings[2]
+    assert (tmp_path / "store" / "camera_00001.jsonl").read_text() == make_line() + "\n"
+
+
+@pytest.mark.parametrize("day", ["20231016", "2023-W42-1", "2023W421", "2023-10-16T00:00:00Z", "2023-02-29", "x"])
+def test_a_day_is_yyyy_mm_dd_and_nothing_else(tmp_path, capsys, day):
+    """The heatmap's --date, and the holidays of a config and of a simulation profile."""
+    assert parse_day("2023-10-16") == parse_day(" 2023-10-16\n") == 19646
+    store, config = _tiny_store(tmp_path)
+    capsys.readouterr()
+    rc, out = run(*HEATMAP[:3], "--date", day, "--out", tmp_path / "heat.pgm", "--store", store, "--config", config)
+    assert (rc, out) == (1, "") and capsys.readouterr().err == f"svaa: InvalidTimestamp: not a YYYY-MM-DD day {day!r}\n"
+    config.write_text(json.dumps({"holidays": ["2023-10-12", day]}))
+    assert run("occupancy", "--camera", 1, "--live", "--store", store, "--config", config) == (1, "")
+    assert capsys.readouterr().err.startswith("svaa: InvalidConfig: bad config document: not a YYYY-MM-DD day")
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps({"cameras": [{"camera_id": 1, "hourly_rate": [1.0] * 24}], "holidays": [day]}))
+    assert run("simulate", "--profile", profile, "--from", T0, "--to", T1, "--out", tmp_path / "sim.jsonl")[0] == 1
+    assert capsys.readouterr().err.startswith("svaa: InvalidProfile: bad profile document: not a YYYY-MM-DD day")
+
+
+# What the CLI-never-raises property feeds to numeric options and config keys: edge values, then any.
+NUMBER_TEXTS = st.one_of(
+    st.sampled_from(["0", "-0", "-1", "1", "2.5", "1e-07", "5e-07", "nan", "inf", "-inf", "1e20", "1e400", "9" * 30,
+                     "x", ""]),
+    st.integers(-2**70, 2**70).map(str),
+    st.floats().map(repr),
+)
+CONFIG_VALUES = st.one_of(
+    st.sampled_from([0, -1, 1, 2.5, 1e-7, float("nan"), float("inf"), -float("inf"), 10**30, 1e300, "x", None, True,
+                     [], {}, "2023-10-16"]),
+    st.integers(-2**70, 2**70),
+    st.floats(),
+)
+# Instants within a day of the data, or at the ends of the RFC 3339 range, or not instants: a replay between
+# two of them holds at most a day of windows, or is refused
+TIMES = st.sampled_from([T0, T1, "0001-01-01T00:00:00Z", "9999-12-31T23:59:59Z", "2023-10-16T09:00:00+14:00", DAY, "x"])
+CONFIG_KEYS = [("occupancy", "min_samples"), ("occupancy", "history_capacity"), ("anomaly", "min_samples"),
+               ("heatmap", "cols"), ("heatmap", "rows"), ("heatmap", "sigma"), ("heatmap", "gamma"),
+               ("heatmap", "mode"), ("staleness_s",), ("holidays",), ("cameras", "camera_id"), ("cameras", "width"),
+               ("cameras", "height"), ("cameras", "min_teta"), ("cameras", "max_teta"), ("occupancy",), ("heatmap",),
+               ("cameras",)]
+
+
+@st.composite
+def argvs(draw) -> list[str]:
+    """A read command with one numeric option, or none, set to a generated value, and the others sane."""
+    span = ["--from", draw(TIMES), "--to", draw(TIMES)]
+    heatmap = ["--date", draw(st.sampled_from([DAY, "20231016"])), "--out", "heat.pgm"]
+    words, numbers = draw(st.sampled_from([
+        (["current"], {"--staleness": "3600"}),
+        (["current", "--at", draw(TIMES)], {"--staleness": "3600"}),
+        (["hourly", *span], {"--camera": "1"}),
+        (["hourly", "--location", "north", *span], {}),
+        (["peaks", "--all", *span], {"--top": "3"}),
+        (["peaks", *span], {"--camera": "1", "--top": "3"}),
+        (["total", *span], {"--bucket": "600"}),
+        (["occupancy", "--at", draw(TIMES)], {"--camera": "1"}),
+        (["occupancy", "--live"], {"--camera": "1"}),
+        (["occupancy", "--live", *span], {"--camera": "1"}),
+        (["anomaly", "--replay", f"{draw(TIMES)}..{draw(TIMES)}"], {"--camera": "1"}),
+        (["bev", "--window", draw(TIMES)], {"--camera": "1"}),
+        (["heatmap", *heatmap], {"--camera": "1", "--sigma": "2", "--gamma": "0.5"}),
+        (["heatmap", "--mode", "extent", *heatmap], {"--camera": "1", "--sigma": "2", "--cell-size": "0.5",
+                                                     "--gamma": "0.5"}),
+    ]))
+    edge = draw(st.sampled_from([None, *numbers]))
+    return [*words, *(text for option, sane in numbers.items()
+                      for text in (option, draw(NUMBER_TEXTS) if option == edge else sane))]
+
+
+@pytest.fixture(scope="module")
+def tiny(tmp_path_factory):
+    """A store of two boxes on camera 1 and a config that places camera 1 at "north"."""
+    tmp_path = tmp_path_factory.mktemp("tiny")
+    store, config = _tiny_store(tmp_path, boxes=((100, 200, 50, 100), (1500, 600, 50, 100)))
+    document = json.loads(config.read_text())
+    document["cameras"][0]["location"] = "north"
+    return tmp_path, store, document
+
+
+@given(argvs(), st.lists(st.tuples(st.sampled_from(CONFIG_KEYS), CONFIG_VALUES), max_size=1))
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_the_cli_never_raises(tiny, monkeypatch, argv, overrides):
+    """Whatever the numbers, main returns 0, 1 or 2; the bucket limit is lowered to keep each call small."""
+    tmp_path, store, document = tiny
+    document = json.loads(json.dumps(document))  # a deep copy
+    for key, value in sorted(overrides, key=lambda item: -len(item[0])):  # a whole section last
+        if key[0] == "cameras" and len(key) == 2:
+            document["cameras"][0][key[1]] = value
+        elif len(key) == 2:
+            document.setdefault(key[0], {})[key[1]] = value
+        else:
+            document[key[0]] = value
+    config = tmp_path / "property.json"
+    config.write_text(json.dumps(document))
+    monkeypatch.chdir(tmp_path)
+    with mock.patch.object(metrics, "MAX_BUCKETS", 10_000):
+        assert cli.main([*argv, "--store", str(store), "--config", str(config)], out=io.StringIO()) in (0, 1, 2)

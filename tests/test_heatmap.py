@@ -8,12 +8,11 @@ import random
 import numpy as np
 import pytest
 
-from svaa.birdseye import BevPoint
+from svaa.birdseye import BEV_POINT
 from svaa.errors import EmptyInput
 from svaa.heatmap import (
     GridGeometry,
     HeatGrid,
-    Mode,
     SmoothingSpec,
     accumulate_grid,
     gaussian_smooth,
@@ -22,13 +21,12 @@ from svaa.heatmap import (
     render_pgm,
 )
 
-from conftest import utc
-
-WHEN = utc(2023, 10, 16, 9, 0, 0)
-
-
 def pts(*coords):
-    return [BevPoint(i + 1, WHEN, x, y) for i, (x, y) in enumerate(coords)]
+    """BEV_POINT rows of one window at the given (bev_x, bev_y)."""
+    points = np.zeros(len(coords), dtype=BEV_POINT)
+    points["global_id"] = np.arange(1, len(coords) + 1)
+    points["bev_x"], points["bev_y"] = np.array(coords, dtype=np.float64).reshape(-1, 2).T
+    return points
 
 
 def direct_smooth_oracle(cells: np.ndarray, sigma: float) -> np.ndarray:
@@ -55,44 +53,40 @@ def direct_smooth_oracle(cells: np.ndarray, sigma: float) -> np.ndarray:
 
 class TestAccumulate:
     def test_three_points_one_cell(self):
-        grid = accumulate_grid(pts((0.2, 3.1), (0.3, 3.2), (0.4, 3.3)), Mode.DATA_EXTENT, cell_size=1.0)
+        grid = accumulate_grid(pts((0.2, 3.1), (0.3, 3.2), (0.4, 3.3)), cell_size=1.0)
         assert grid.cells.shape == (1, 1)
         assert grid.cells[0, 0] == 3
         assert grid.total_mass == 3
 
     def test_extent_shape_is_max_index_plus_one(self):
-        grid = accumulate_grid(pts((0.5, 0.5), (6.5, 3.5)), Mode.DATA_EXTENT, cell_size=1.0)
+        grid = accumulate_grid(pts((0.5, 0.5), (6.5, 3.5)), cell_size=1.0)
         assert grid.cells.shape == (4, 7)  # (max_y + 1, max_x + 1)
 
     def test_extent_origin_aligned_down(self):
-        grid = accumulate_grid(pts((-2.3, 1.7)), Mode.DATA_EXTENT, cell_size=1.0)
+        grid = accumulate_grid(pts((-2.3, 1.7)), cell_size=1.0)
         assert grid.x_min == -3.0
         assert grid.y_min == 1.0
 
     def test_extent_refuses_empty(self):
         with pytest.raises(EmptyInput):
-            accumulate_grid([], Mode.DATA_EXTENT, cell_size=1.0)
+            accumulate_grid(pts(), cell_size=1.0)
 
     def test_fixed_bounds_empty_ok(self):
         geometry = GridGeometry(-8, 8, 0, 8, 16, 16)
-        grid = accumulate_grid([], Mode.FIXED_BOUNDS, geometry)
+        grid = accumulate_grid(pts(), geometry)
         assert grid.total_mass == 0
         assert grid.cells.shape == (16, 16)
 
     def test_fixed_bounds_clamps_strays(self):
         geometry = GridGeometry(-1, 1, 0, 2, 2, 2)
-        grid = accumulate_grid(pts((-50.0, 1.0), (50.0, 1.0), (0.5, 99.0)), Mode.FIXED_BOUNDS, geometry)
+        grid = accumulate_grid(pts((-50.0, 1.0), (50.0, 1.0), (0.5, 99.0)), geometry)
         assert grid.cells[1, 0] == 1  # clamped left
         assert grid.cells[1, 1] == 2  # clamped right and clamped top
-
-    def test_fixed_needs_geometry(self):
-        with pytest.raises(ValueError):
-            accumulate_grid(pts((0, 1)), Mode.FIXED_BOUNDS)
 
     def test_counts_are_integers(self):
         rng = random.Random(5)
         points = pts(*[(rng.uniform(-4, 4), rng.uniform(0, 8)) for _ in range(123)])
-        grid = accumulate_grid(points, Mode.FIXED_BOUNDS, GridGeometry(-5, 5, 0, 10, 8, 8))
+        grid = accumulate_grid(points, GridGeometry(-5, 5, 0, 10, 8, 8))
         assert np.all(grid.cells == np.rint(grid.cells))
         assert grid.total_mass == 123
 
@@ -101,7 +95,7 @@ class TestAccumulate:
         geometry = GridGeometry(-10, 10, 0, 20, 13, 9)
         for _ in range(30):
             coords = [(rng.uniform(-12, 12), rng.uniform(-1, 22)) for _ in range(rng.randrange(0, 200))]
-            grid = accumulate_grid(pts(*coords), Mode.FIXED_BOUNDS, geometry)
+            grid = accumulate_grid(pts(*coords), geometry)
             want = np.zeros((9, 13))
             for x, y in coords:
                 col = min(max(math.floor((x - -10) / geometry.cell_w), 0), 12)
@@ -156,10 +150,6 @@ class TestSmoothing:
         b = gaussian_smooth(HeatGrid(shifted, 0, 0, 1, 1), spec).cells
         assert np.allclose(a[10:30, 12:30], b[11:31, 13:31], atol=1e-12)
 
-    def test_sigma_validated(self):
-        with pytest.raises(ValueError):
-            SmoothingSpec(0.0)
-
     def test_radius_is_three_sigma(self):
         assert SmoothingSpec(2.0).radius == 6
         assert SmoothingSpec(1.7).radius == 6
@@ -169,10 +159,9 @@ class TestSmoothing:
         assert SmoothingSpec(2.2).kernel().sum() == pytest.approx(1.0, rel=1e-12)
 
     def test_geometry_carries_over(self):
-        grid = HeatGrid(np.ones((4, 4)), -3.0, 1.0, 0.5, 0.25, camera_id=3, day=utc(2023, 10, 16).date())
+        grid = HeatGrid(np.ones((4, 4)), -3.0, 1.0, 0.5, 0.25)
         out = gaussian_smooth(grid, SmoothingSpec(1.0))
         assert (out.x_min, out.y_min, out.cell_w, out.cell_h) == (-3.0, 1.0, 0.5, 0.25)
-        assert out.camera_id == 3 and out.day == grid.day
 
 
 class TestPeakIntensity:
@@ -205,10 +194,6 @@ class TestRenderPgm:
         boosted = render_pgm(grid, 0.5).decode().splitlines()[-1].split()
         assert flat == [str(round(255 * 0.25)), "255"]
         assert boosted == [str(round(255 * 0.5)), "255"]
-
-    def test_gamma_validated(self):
-        with pytest.raises(ValueError):
-            render_pgm(HeatGrid(np.zeros((1, 1)), 0, 0, 1, 1), gamma=0.0)
 
     def test_values_within_255(self):
         rng = np.random.default_rng(2)

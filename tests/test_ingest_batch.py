@@ -59,7 +59,7 @@ def ingest_per_line(source) -> tuple[tuple, list[str], dict[int, str], dict[int,
         accepted += 1
         first = t if first is None else min(first, t)
         last = t if last is None else max(last, t)
-    report = (accepted, rejected, None if first is None else from_us(first), None if last is None else from_us(last))
+    report = (accepted, rejected, first, last)
     return report, warnings, files, {c: {name: a.tobytes() for name, a in cols.items()} for c, cols in columns.items()}
 
 
@@ -187,7 +187,7 @@ def check_batch_ingest(lines: list[str], split: int, batch: int, disk: bool, tai
                 for part, (report, warnings, _, _) in zip(parts, expected):
                     del handler.messages[:]
                     got = ingest_stream(part, store)
-                    assert (got.accepted, got.rejected, got.first_time, got.last_time) == report
+                    assert (got.accepted, got.rejected, got.first_us, got.last_us) == report
                     assert handler.messages == warnings
             _, _, files, columns = ingest_per_line(lines)
             assert _columns(store) == columns

@@ -284,8 +284,6 @@ class TestKernel:
         assert set(level.tolist()) == {Level.UNKNOWN} and set(p25.tolist()) == {-1}
 
     def test_parameter_domain(self):
-        with pytest.raises(ValueError):
-            classify_slot(np.ones(3, dtype=np.int64), capacity=0)
         with pytest.raises(EmptyHistory):  # the first window would be rated against no history
             classify_slot(np.ones(3, dtype=np.int64), min_samples=0)
 

@@ -207,7 +207,7 @@ class TestIngest:
     def test_empty_source(self, mem_store):
         report = ingest_stream([], mem_store)
         assert (report.accepted, report.rejected) == (0, 0)
-        assert report.first_time is None and report.last_time is None
+        assert report.first_us is None and report.last_us is None
 
     def test_counts_and_bad_line(self, mem_store):
         lines = [
@@ -218,8 +218,8 @@ class TestIngest:
         ]
         report = ingest_stream(lines, mem_store)
         assert (report.accepted, report.rejected) == (3, 1)
-        assert report.first_time == utc(2023, 10, 16, 9, 0, 0)
-        assert report.last_time == utc(2023, 10, 16, 9, 0, 10)
+        assert report.first_us == to_us(utc(2023, 10, 16, 9, 0, 0))
+        assert report.last_us == to_us(utc(2023, 10, 16, 9, 0, 10))
 
     def test_reingest_doubles(self, tmp_path):
         lines = [make_line(global_id=g) for g in (1, 2, 3)]

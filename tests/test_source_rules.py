@@ -3,9 +3,11 @@
 records.py alone reads a camera's row index: no other module calls
 `.index(` on a store or imports HUMAN_CLASS. Every rejected record line has
 one source: records.py's batch decoder raises no line error, and only
-`_parse_fields` calls `json.loads`. No module keeps a top-level import it
-never uses, and no top-level function or class is left that no command and
-no benchmark reaches.
+`_parse_fields` calls `json.loads`. metrics.py, birdseye.py and heatmap.py
+take and return epoch microseconds: they import nothing from `datetime` and
+neither import nor call `to_us` or `from_us`. No module keeps a top-level
+import it never uses, and no top-level function or class is left that no
+command and no benchmark reaches.
 """
 
 from __future__ import annotations
@@ -25,6 +27,9 @@ SCHEMA = frozenset({"parse_record", "format_record"})
 # records.py's batch decoder, which leaves every line it does not take to _parse_fields, and the errors of a line
 DECODER = ("_digits", "_instants", "_decode", "_parse_batch")
 LINE_ERRORS = frozenset({"MalformedLine", "InvalidTimestamp", "InvalidBBox"})
+# The analytics whose every boundary is epoch microseconds and numpy columns; the CLI parses and formats
+MICROSECOND_MODULES = ("metrics.py", "birdseye.py", "heatmap.py")
+CONVERSIONS = frozenset({"to_us", "from_us"})
 
 
 def _tree(path: Path) -> ast.Module:
@@ -78,6 +83,21 @@ def unused_imports(tree: ast.Module) -> list[str]:
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
+def datetime_uses(tree: ast.Module) -> list[str]:
+    """Imports from the datetime module, and imports or calls of to_us and from_us, with their lines."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) and any(alias.name.split(".")[0] == "datetime" for alias in node.names):
+            found.append(f"import datetime (line {node.lineno})")
+        elif isinstance(node, ast.ImportFrom) and node.module == "datetime":
+            found.append(f"from datetime import (line {node.lineno})")
+        elif isinstance(node, ast.ImportFrom) and CONVERSIONS & {alias.name for alias in node.names}:
+            found.append(f"import of {sorted(CONVERSIONS & {alias.name for alias in node.names})} (line {node.lineno})")
+        elif isinstance(node, ast.Call) and _dotted(node.func).rsplit(".", 1)[-1] in CONVERSIONS:
+            found.append(f"{_dotted(node.func)}() (line {node.lineno})")
+    return found
+
+
 def raised(node: ast.AST) -> set[str]:
     """Names of the exception classes raised under node, as `raise X`, `raise X(...)` or `raise mod.X(...)`."""
     names = set()
@@ -129,6 +149,11 @@ def test_only_records_reads_the_row_index(path):
     assert human_class_uses(tree) == [], f"{path.name} uses HUMAN_CLASS; records.human_rows applies it"
 
 
+@pytest.mark.parametrize("name", MICROSECOND_MODULES)
+def test_the_analytics_take_and_return_microseconds(name):
+    assert datetime_uses(_tree(SRC / name)) == [], f"{name} converts datetimes; leave parsing and formatting to cli.py"
+
+
 def test_every_rejected_line_has_one_source():
     tree = _tree(SRC / "records.py")
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
@@ -163,6 +188,16 @@ def test_the_rules_catch_what_they_forbid():
     assert index_reads(tree) == [4, 4, 4]
     assert human_class_uses(tree) == [2, 5]
     assert unused_imports(tree) == ["os (line 1)", "HUMAN_CLASS (line 2)"]
+
+    boundary = ast.parse(
+        "import datetime as dt, numpy\n"
+        "from datetime import date\n"
+        "from .timeutil import WINDOW_US, to_us\n"
+        "x = timeutil.from_us(to_us(dt.datetime.now()))\n"
+        "def f(): return format_rfc3339(0), to_use(0)\n"
+    )
+    assert datetime_uses(boundary) == ["import datetime (line 1)", "from datetime import (line 2)",
+                                       "import of ['to_us'] (line 3)", "timeutil.from_us() (line 4)", "to_us() (line 4)"]
 
     decoder = ast.parse(
         "import json\n"

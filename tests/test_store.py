@@ -160,7 +160,7 @@ class TestSnapshot:
         def no_parse(raw):
             raise AssertionError("parsed a line that the snapshot holds")
 
-        monkeypatch.setattr("svaa.records._parse_stored", no_parse)
+        monkeypatch.setattr("svaa.records._parse_lines", no_parse)
         assert _rows(RecordStore(root)) == expected
 
     def test_carriage_return_inside_a_line_is_not_a_line_break(self, tmp_path):
