@@ -8,21 +8,6 @@ ground-plane coordinates, and smoothed spatial heatmaps.
 
 __version__ = "0.1.0"
 
-from .records import (
-    BoundingBox,
-    DetectionRecord,
-    IngestReport,
-    RecordStore,
-    ingest_stream,
-    parse_record,
-)
+from .records import IngestReport, RecordStore, ingest_stream
 
-__all__ = [
-    "BoundingBox",
-    "DetectionRecord",
-    "IngestReport",
-    "RecordStore",
-    "ingest_stream",
-    "parse_record",
-    "__version__",
-]
+__all__ = ["IngestReport", "RecordStore", "ingest_stream", "__version__"]

@@ -23,7 +23,7 @@ import numpy as np
 from . import anomaly as anomaly_mod
 from . import birdseye, heatmap, metrics, occupancy, synth
 from .config import COUNT, SECONDS, SIGMA, AppConfig, load_config, out_of_range
-from .errors import AnalyticsError, UnknownCamera
+from .errors import AnalyticsError, OutputUnwritable, UnknownCamera
 from .records import RecordStore, ingest_stream
 from .timeutil import format_rfc3339, from_us, parse_day, parse_rfc3339, window_days
 
@@ -275,11 +275,15 @@ def cmd_heatmap(args, config: AppConfig, out) -> int:
     gamma = args.gamma if args.gamma is not None else config.heatmap_gamma
     out_path = Path(args.out)
     if out_path.suffix == ".pgm":
-        out_path.write_bytes(heatmap.render_pgm(grid, gamma))
+        data = heatmap.render_pgm(grid, gamma)
     elif out_path.suffix == ".csv":
-        out_path.write_text(heatmap.render_csv(grid), encoding="utf-8")
+        data = heatmap.render_csv(grid).encode("utf-8")
     else:
         raise UsageError(f"--out must end in .pgm or .csv, got {out_path.name}")
+    try:
+        out_path.write_bytes(data)
+    except OSError as exc:
+        raise OutputUnwritable(f"cannot write {out_path}: {exc}") from exc
     out.write(f"{out_path} peak={_fmt(heatmap.peak_intensity(grid))} mass={_fmt(grid.total_mass)}\n")
     return 0
 

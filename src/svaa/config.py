@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import timedelta
 from pathlib import Path
 
@@ -67,7 +67,13 @@ class AppConfig:
         return {c.camera_id: c.location for c in self.cameras}
 
 
+# the document's sections; a key in one sets the AppConfig field "<section>_<key>"
+_SECTIONS = ("occupancy", "anomaly", "heatmap")
+_DOCUMENT_FIELDS = frozenset(f.name for f in fields(AppConfig)) - {"cameras", "holidays"}
+
+
 def config_from_dict(obj: dict) -> AppConfig:
+    """The AppConfig a document describes: a key it leaves out keeps AppConfig's default, an unknown key is ignored."""
     try:
         cameras = [
             CameraConfig(
@@ -80,22 +86,13 @@ def config_from_dict(obj: dict) -> AppConfig:
             )
             for c in obj.get("cameras", [])
         ]
-        occ = obj.get("occupancy", {})
-        ano = obj.get("anomaly", {})
-        heat = obj.get("heatmap", {})
+        values = {key: obj[key] for key in ("store", "staleness_s") if key in obj}
+        for section in _SECTIONS:
+            values.update((f"{section}_{key}", value) for key, value in obj.get(section, {}).items())
         return AppConfig(
-            store=obj.get("store"),
             cameras=cameras,
             holidays=frozenset(parse_day(d) for d in obj.get("holidays", ())),
-            occupancy_min_samples=occ.get("min_samples", occupancy.DEFAULT_MIN_SAMPLES),
-            occupancy_history_capacity=occ.get("history_capacity", occupancy.DEFAULT_CAPACITY),
-            anomaly_min_samples=ano.get("min_samples", anomaly.DEFAULT_MIN_SAMPLES),
-            heatmap_mode=heat.get("mode", "fixed"),
-            heatmap_cols=heat.get("cols", 64),
-            heatmap_rows=heat.get("rows", 64),
-            heatmap_sigma=heat.get("sigma", 2.0),
-            heatmap_gamma=heat.get("gamma", 1.0),
-            staleness_s=obj.get("staleness_s", 5.0),
+            **{key: value for key, value in values.items() if key in _DOCUMENT_FIELDS},
         )
     except (AttributeError, KeyError, TypeError, ValueError, InvalidTimestamp) as exc:
         raise InvalidConfig(f"bad config document: {exc}") from exc

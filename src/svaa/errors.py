@@ -33,6 +33,10 @@ class StoreUnwritable(AnalyticsError):
     """The record store directory cannot be created or appended to."""
 
 
+class OutputUnwritable(AnalyticsError):
+    """An output file of a command cannot be written."""
+
+
 class StoreLocked(AnalyticsError):
     """Another handle holds the record store's writer lock."""
 

@@ -11,30 +11,31 @@ reads them: they live only in the JSONL line, never in the columns.
 
 Lines are parsed in batches of at most _BATCH_LINES, which bounds the
 parser's memory. `_decode` reads the lines of the canonical shape, the one
-format_record and the generator write, in columns: one compiled pattern per
-line, then numpy for the numbers and for the calendar and clock checks of
-the times. Every line it does not take (another key order, an offset, an
-exponent, an extra field, or anything wrong) goes through `_parse_fields`,
-the per-line parser, which alone rejects lines: every rejection, message
-and line number comes from it. Ingest then groups a batch's accepted rows
-by camera, keeping their order, and makes one write of the camera's lines
-and one extend of each of its columns. Opening a store reads a file's
-lines past its snapshot through the same batches.
+the generator writes, in columns: one compiled pattern per line, then numpy
+for the numbers and for the calendar and clock checks of the times. Every
+line it does not take (another key order, an offset, an exponent, an extra
+field, or anything wrong) goes through `_parse_fields`, the per-line
+parser, which alone rejects lines: every rejection, message and line number
+comes from it. Ingest then groups a batch's accepted rows by camera,
+keeping their order, and makes one write of the camera's lines and one
+extend of each of its columns. Opening a store reads a file's lines past
+its snapshot through the same batches.
 
 The JSONL files are the source of truth. Beside each one sits a columnar
 snapshot, `camera_NNNNN.snap.npz`, so that opening a store does not re-parse
 what was validated at ingest (a snapshot plus a log tail, as in an LSM
-tree). It holds the eight record columns in append order and a stamp: the
-length N of the newline-terminated file prefix whose rows it holds, and the
-SHA-256 of those N bytes. Other members, such as the `extras` that older
-snapshots carry, are not read. On open a snapshot is used only if N fits
-in the file and the digest of the file's first N bytes matches; otherwise
-the whole file is parsed. Either way only the bytes past the snapshot are
-parsed, with line numbers counted from the start of the file. Opening
-rewrites a missing or stale snapshot and close() refreshes the snapshot of
-every camera the handle appended to; both are best effort, a failure is
-logged and changes no answer. The zip container's CRC-32 guards the
-snapshot's own bytes.
+tree). It holds the eight record columns of `_COLUMNS`, which also name a
+camera log's buffers and its index's attributes, in append order, and a
+stamp: the length N of the newline-terminated file prefix whose rows it
+holds, and the SHA-256 of those N bytes. Other members, such as the
+`extras` that older snapshots carry, are not read. On open a snapshot is
+used only if N fits in the file and the digest of the file's first N bytes
+matches; otherwise the whole file is parsed. Either way only the bytes past
+the snapshot are parsed, with line numbers counted from the start of the
+file. Opening rewrites a missing or stale snapshot and close() refreshes
+the snapshot of every camera the handle appended to; both are best effort,
+a failure is logged and changes no answer. The zip container's CRC-32
+guards the snapshot's own bytes.
 
 One writer at a time: a handle takes an advisory `flock` on `<store>/.lock`
 at its first append and holds it until close(); a second writer gets
@@ -71,7 +72,6 @@ import tempfile
 import zipfile
 from array import array
 from dataclasses import dataclass
-from datetime import datetime
 from itertools import islice
 from math import isfinite
 from pathlib import Path
@@ -89,40 +89,12 @@ from .errors import (
     StoreLocked,
     StoreUnwritable,
 )
-from .timeutil import WINDOW_US, from_us, to_us
+from .timeutil import WINDOW_US
 
 logger = logging.getLogger(__name__)
 
 HUMAN_CLASS = 0
 MAX_SERIES_WINDOWS = 366 * timeutil.US_PER_DAY // WINDOW_US  # a leap year of windows: the longest window_count_series
-
-
-@dataclass(frozen=True, slots=True)
-class BoundingBox:
-    """Axis-aligned pixel box: top-left corner plus width and height."""
-
-    x: float
-    y: float
-    w: float
-    h: float
-
-
-@dataclass(slots=True)
-class DetectionRecord:
-    """One stored detection: who (ids), where (camera, box), and when."""
-
-    record_time: datetime
-    camera_id: int
-    class_id: int
-    bbox: BoundingBox
-    local_id: int
-    global_id: int
-    feature: str | None = None  # opaque blob, kept only in the stored JSONL line
-    batch_id: object | None = None  # upstream tag, kept only in the stored JSONL line
-
-    @property
-    def time_us(self) -> int:
-        return to_us(self.record_time)
 
 
 @dataclass(slots=True)
@@ -194,54 +166,10 @@ def _parse_fields(line: str) -> tuple:
     return time_us, camera_id, class_id, x, y, w, h, local_id, global_id, feature, obj.get("batch_id")
 
 
-def parse_record(line: str) -> DetectionRecord:
-    """Parse one serialized record line, validating the schema.
-
-    Raises MalformedLine for structural problems, InvalidTimestamp for a bad
-    record_time, and InvalidBBox for a degenerate box. The optional feature
-    blob is retained unmodified; an optional batch_id is kept but ignored.
-    """
-    time_us, camera_id, class_id, x, y, w, h, local_id, global_id, feature, batch_id = _parse_fields(line)
-    return DetectionRecord(
-        record_time=from_us(time_us),
-        camera_id=camera_id,
-        class_id=class_id,
-        bbox=BoundingBox(x, y, w, h),
-        local_id=local_id,
-        global_id=global_id,
-        feature=feature,
-        batch_id=batch_id,
-    )
-
-
-def _format_pixel(v: float) -> str:
-    if isinstance(v, float) and v.is_integer():
-        return str(int(v))
-    return repr(v) if isinstance(v, float) else str(v)
-
-
-def format_record(rec: DetectionRecord) -> str:
-    """Serialize a record back to the canonical one-line form."""
-    bbox = ",".join(_format_pixel(v) for v in (rec.bbox.x, rec.bbox.y, rec.bbox.w, rec.bbox.h))
-    parts = [
-        f'"record_time":"{timeutil.format_rfc3339(rec.time_us)}"',
-        f'"camera_id":{rec.camera_id}',
-        f'"class_id":{rec.class_id}',
-        f'"bbox":[{bbox}]',
-        f'"local_id":{rec.local_id}',
-        f'"global_id":{rec.global_id}',
-    ]
-    if rec.feature is not None:
-        parts.append(f'"feature":{json.dumps(rec.feature)}')
-    if rec.batch_id is not None:
-        parts.append(f'"batch_id":{json.dumps(rec.batch_id)}')
-    return "{" + ",".join(parts) + "}"
-
-
-# The canonical line shape, the one format_record and synth.generate_lines write: these six keys in this
-# order and no other, a UTC time with whole seconds or six fraction digits, ids of at most 18 digits (so
-# below 2**63; camera, local and global ids at least 1) and a box of plain nonnegative decimals, all in
-# JSON's number grammar. _decode reads such lines in columns; every other line goes to _parse_fields.
+# The canonical line shape, the one synth.generate_lines writes: these six keys in this order and no other,
+# a UTC time with whole seconds or six fraction digits, ids of at most 18 digits (so below 2**63; camera,
+# local and global ids at least 1) and a box of plain nonnegative decimals, all in JSON's number grammar.
+# _decode reads such lines in columns; every other line goes to _parse_fields.
 _ID = r"([1-9]\d{0,17})"
 _PIXEL = r"(?:0|[1-9]\d{0,15})(?:\.\d+)?"
 _CANONICAL = re.compile(
@@ -254,7 +182,9 @@ _BATCH_LINES = 1024  # lines decoded at a time, which bounds the decoder's memor
 # a batch's columns, in _parse_fields' order, with their array typecodes
 _FIELDS = (("times", "q"), ("camera_ids", "q"), ("class_ids", "q"), ("x", "d"), ("y", "d"), ("w", "d"),
            ("h", "d"), ("local_ids", "q"), ("global_ids", "q"))
-_COLUMNS = tuple(field for field in _FIELDS if field[0] != "camera_ids")  # a camera log's and snapshot's columns
+# a stored row's columns: those of a camera's log, its index and its snapshot
+_COLUMNS = tuple(field for field in _FIELDS if field[0] != "camera_ids")
+_DTYPES = {"q": np.dtype(np.int64), "d": np.dtype(np.float64)}
 _MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])  # by month, in a common year
 
 
@@ -336,21 +266,14 @@ def _parse_batch(lines: list[str]) -> tuple[np.ndarray, dict[str, np.ndarray], l
 
 
 class _CameraIndex:
-    """Immutable time-sorted snapshot of one camera's columns."""
+    """Immutable time-sorted copy of one camera's columns, an attribute each, named as in _COLUMNS."""
 
-    __slots__ = ("times", "class_ids", "global_ids", "local_ids", "x", "y", "w", "h")
+    __slots__ = tuple(name for name, _ in _COLUMNS)
 
-    def __init__(self, log: "_CameraLog"):
-        times = np.frombuffer(log.times, dtype=np.int64)
-        order = np.argsort(times, kind="stable")
-        self.times = times[order]
-        self.class_ids = np.frombuffer(log.class_ids, dtype=np.int64)[order]
-        self.global_ids = np.frombuffer(log.global_ids, dtype=np.int64)[order]
-        self.local_ids = np.frombuffer(log.local_ids, dtype=np.int64)[order]
-        self.x = np.frombuffer(log.x, dtype=np.float64)[order]
-        self.y = np.frombuffer(log.y, dtype=np.float64)[order]
-        self.w = np.frombuffer(log.w, dtype=np.float64)[order]
-        self.h = np.frombuffer(log.h, dtype=np.float64)[order]
+    def __init__(self, columns: dict[str, np.ndarray]):
+        order = np.argsort(columns["times"], kind="stable")
+        for name in self.__slots__:
+            setattr(self, name, columns[name][order])
 
     def __len__(self) -> int:
         return len(self.times)
@@ -362,55 +285,38 @@ class _CameraIndex:
         return lo, hi
 
 
-_EMPTY_LOG: "_CameraLog | None" = None
-
-_DTYPES = {"q": np.dtype(np.int64), "d": np.dtype(np.float64)}
+_EMPTY_INDEX = _CameraIndex({name: np.empty(0, dtype=_DTYPES[code]) for name, code in _COLUMNS})
 _CHUNK = 1 << 20  # bytes read at a time when hashing part of a file
 _LINE_ERRORS = (MalformedLine, InvalidTimestamp, InvalidBBox)
 
 
 class _CameraLog:
-    """Append buffers for one camera plus its lazily built index."""
+    """Append buffers for one camera, one per column of _COLUMNS, plus its lazily built index."""
 
-    __slots__ = ("times", "class_ids", "global_ids", "local_ids", "x", "y", "w", "h", "_index")
+    __slots__ = ("columns", "_index")
 
     def __init__(self):
-        self.times = array("q")
-        self.class_ids = array("q")
-        self.global_ids = array("q")
-        self.local_ids = array("q")
-        self.x = array("d")
-        self.y = array("d")
-        self.w = array("d")
-        self.h = array("d")
+        self.columns = {name: array(code) for name, code in _COLUMNS}
         self._index: _CameraIndex | None = None
 
     def __len__(self) -> int:
-        return len(self.times)
+        return len(self.columns["times"])
 
     def extend(self, columns: dict[str, np.ndarray], lo: int = 0, hi: int | None = None) -> None:
         """Append rows lo..hi-1 of columns named as the log's."""
-        for name, _ in _COLUMNS:
-            getattr(self, name).frombytes(columns[name][lo:hi].view(np.uint8))
+        for name, buffer in self.columns.items():
+            buffer.frombytes(columns[name][lo:hi].view(np.uint8))
         self._index = None
 
-    def load_snapshot(self, snap: "_Snapshot") -> None:
-        """Fill this empty log with a snapshot's rows, releasing its columns as they are copied."""
-        for name, _ in _COLUMNS:
-            getattr(self, name).frombytes(snap.columns.pop(name).view(np.uint8))
-        self._index = None
+    def arrays(self, rows: int | None = None) -> dict[str, np.ndarray]:
+        """Numpy views of the first rows of every column, all of them by default; an append fails while one lives."""
+        return {name: np.frombuffer(buffer, dtype=_DTYPES[buffer.typecode])[:rows]
+                for name, buffer in self.columns.items()}
 
     def index(self) -> _CameraIndex:
         if self._index is None:
-            self._index = _CameraIndex(self)
+            self._index = _CameraIndex(self.arrays())
         return self._index
-
-
-def _empty_index() -> _CameraIndex:
-    global _EMPTY_LOG
-    if _EMPTY_LOG is None:
-        _EMPTY_LOG = _CameraLog()
-    return _EMPTY_LOG.index()
 
 
 @dataclass(slots=True)
@@ -553,7 +459,7 @@ class RecordStore:
             if snap is not None and snap.covered <= os.fstat(fh.fileno()).st_size:
                 _hash_next(fh, snap.covered, f.sha)
                 if f.sha.digest() == snap.digest:
-                    log.load_snapshot(snap)
+                    log.extend(snap.columns)
                     f.covered = snap.covered
                 else:
                     f.sha = hashlib.sha256()
@@ -589,7 +495,7 @@ class RecordStore:
 
     def _save_snapshot(self, f: _CameraFile, log: _CameraLog, rows: int) -> None:
         """Best effort: snapshot the log's first rows, which the file's first f.covered bytes hold."""
-        arrays = {name: np.frombuffer(getattr(log, name), dtype=_DTYPES[code])[:rows] for name, code in _COLUMNS}
+        arrays = log.arrays(rows)
         tmp = None
         try:
             with tempfile.NamedTemporaryFile(dir=f.path.parent, prefix=f".{f.snap.name}.", delete=False) as tmp:
@@ -735,23 +641,15 @@ class RecordStore:
 
     def index(self, camera_id: int) -> _CameraIndex:
         log = self._logs.get(camera_id)
-        return log.index() if log is not None else _empty_index()
+        return log.index() if log is not None else _EMPTY_INDEX
 
     def time_bounds(self, camera_id: int | None = None) -> tuple[int, int] | None:
         """(min, max) record time in microseconds, or None for no records."""
         cameras = [camera_id] if camera_id is not None else self.camera_ids()
-        lo: int | None = None
-        hi: int | None = None
-        for cid in cameras:
-            idx = self.index(cid)
-            if len(idx) == 0:
-                continue
-            first, last = int(idx.times[0]), int(idx.times[-1])
-            lo = first if lo is None else min(lo, first)
-            hi = last if hi is None else max(hi, last)
-        if lo is None or hi is None:
+        times = [idx.times for idx in map(self.index, cameras) if len(idx)]
+        if not times:
             return None
-        return lo, hi
+        return min(int(t[0]) for t in times), max(int(t[-1]) for t in times)
 
 
 def ingest_stream(source: Iterable[str | bytes], store: RecordStore) -> IngestReport:
@@ -809,8 +707,7 @@ def human_rows(
     Column names are those of the sorted index: times, global_ids,
     local_ids, x, y, w and h. Within a camera the rows are time-ordered.
     """
-    empty = _empty_index()
-    parts = [[getattr(empty, name) for name in columns]]  # keeps the dtypes when no camera is asked for
+    parts = [[getattr(_EMPTY_INDEX, name) for name in columns]]  # keeps the dtypes when no camera is asked for
     for cid in cameras:
         idx = store.index(cid)
         lo, hi = idx.slice(t0_us, t1_us)
@@ -841,7 +738,7 @@ def window_count_series(
     is allocated.
     """
     if t0_us > t1_us:
-        raise InvertedRange(f"t0 {from_us(t0_us)} is after t1 {from_us(t1_us)}")
+        raise InvertedRange(f"t0 {timeutil.format_rfc3339(t0_us)} is after t1 {timeutil.format_rfc3339(t1_us)}")
     t0_us = timeutil.window_start(t0_us)
     t1_us = timeutil.window_start(t1_us)
     n = (t1_us - t0_us) // WINDOW_US

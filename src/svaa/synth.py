@@ -20,7 +20,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import InvalidProfile, InvalidTimestamp
+from .errors import InvalidProfile, InvalidTimestamp, OutputUnwritable
 from .records import distinct_pairs
 from .timeutil import (
     US_PER_DAY,
@@ -133,36 +133,22 @@ class GroundTruth:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(slots=True)
-class _Columns:
-    """One camera's emitted rows, time-unsorted."""
-
-    time_us: np.ndarray
-    global_id: np.ndarray
-    local_id: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-    w: np.ndarray
-    h: np.ndarray
-
-
 def _rate_multiplier(day: int, holidays: frozenset[int], m: float) -> float:
     return m if (is_weekend(day) or day in holidays) else 1.0
 
 
-def _simulate_camera(cam: CameraSim, profile: SimProfile, t0_us: int, t1_us: int) -> _Columns:
+def _simulate_camera(cam: CameraSim, profile: SimProfile, t0_us: int, t1_us: int) -> dict[str, np.ndarray]:
+    """One camera's emitted rows, time-unsorted, as int64 columns named as records' ({} if no one arrives).
+
+    Every row is of class 0, so there is no class column.
+    """
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(profile.seed, spawn_key=(cam.camera_id,))))
     holidays = profile.holiday_days()
     d_lo, d_hi = profile.duration_range_s
     h_lo, h_hi = profile.height_frac_range
     period_us = profile.emission_period_s * 1e6
 
-    arrivals: list[np.ndarray] = []
-    durations: list[np.ndarray] = []
-    hfracs: list[np.ndarray] = []
-    yfracs: list[np.ndarray] = []
-    x0fracs: list[np.ndarray] = []
-    x1fracs: list[np.ndarray] = []
+    draws = []  # per hour cell: arrival, duration, height, y, start x and end x fractions, in draw order
 
     first_hour = t0_us // US_PER_HOUR
     last_hour = -(-t1_us // US_PER_HOUR)
@@ -177,23 +163,12 @@ def _simulate_camera(cam: CameraSim, profile: SimProfile, t0_us: int, t1_us: int
         n = int(rng.poisson(lam))
         if n == 0:
             continue
-        arrivals.append(cell_lo + rng.random(n) * (cell_hi - cell_lo))
-        durations.append(rng.uniform(d_lo, d_hi, n) * 1e6)
-        hfracs.append(rng.uniform(h_lo, h_hi, n))
-        yfracs.append(rng.random(n))
-        x0fracs.append(rng.random(n))
-        x1fracs.append(rng.random(n))
+        draws.append((cell_lo + rng.random(n) * (cell_hi - cell_lo), rng.uniform(d_lo, d_hi, n) * 1e6,
+                      rng.uniform(h_lo, h_hi, n), rng.random(n), rng.random(n), rng.random(n)))
+    if not draws:
+        return {}
 
-    if not arrivals:
-        empty = np.empty(0, dtype=np.int64)
-        return _Columns(empty, empty, empty, empty, empty, empty, empty)
-
-    arrival = np.concatenate(arrivals)
-    duration = np.concatenate(durations)
-    hfrac = np.concatenate(hfracs)
-    yfrac = np.concatenate(yfracs)
-    x0frac = np.concatenate(x0fracs)
-    x1frac = np.concatenate(x1fracs)
+    arrival, duration, hfrac, yfrac, x0frac, x1frac = (np.concatenate(column) for column in zip(*draws))
     track_id = np.arange(1, len(arrival) + 1, dtype=np.int64)
 
     h_px = np.clip(np.rint(hfrac * cam.height), 2, cam.height).astype(np.int64)
@@ -213,27 +188,20 @@ def _simulate_camera(cam: CameraSim, profile: SimProfile, t0_us: int, t1_us: int
     xfrac = x0frac[row] + (x1frac[row] - x0frac[row]) * pos
     x_px = np.rint(xfrac * (cam.width - w_px[row])).astype(np.int64)
 
-    return _Columns(
-        time_us=time_us,
-        global_id=cam.camera_id * _GID_STRIDE + track_id[row],
-        local_id=track_id[row],
-        x=x_px,
-        y=y_px[row],
-        w=w_px[row],
-        h=h_px[row],
-    )
+    return {"times": time_us, "global_ids": cam.camera_id * _GID_STRIDE + track_id[row], "local_ids": track_id[row],
+            "x": x_px, "y": y_px[row], "w": w_px[row], "h": h_px[row]}
 
 
-def _tally_truth(truth: GroundTruth, camera_id: int, cols: _Columns) -> None:
-    hour_abs = cols.time_us // US_PER_HOUR
-    order, first = distinct_pairs(hour_abs, cols.global_id)
+def _tally_truth(truth: GroundTruth, camera_id: int, cols: dict[str, np.ndarray]) -> None:
+    hour_abs = cols["times"] // US_PER_HOUR
+    order, first = distinct_pairs(hour_abs, cols["global_ids"])
     hours, counts = np.unique(hour_abs[order][first], return_counts=True)
     for h, count in zip(hours.tolist(), counts.tolist()):
         d = day_to_date(h * US_PER_HOUR // US_PER_DAY)
         truth.counts[(camera_id, d, h % 24)] = count
 
 
-def _generate_columns(profile: SimProfile, t0: datetime, t1: datetime) -> tuple[list[tuple[int, _Columns]], GroundTruth]:
+def _generate_columns(profile: SimProfile, t0: datetime, t1: datetime) -> tuple[list[tuple[int, dict]], GroundTruth]:
     t0_us, t1_us = to_us(t0), to_us(t1)
     if t0_us >= t1_us:
         raise InvalidProfile(f"need t0 < t1, got {t0} .. {t1}")
@@ -241,8 +209,9 @@ def _generate_columns(profile: SimProfile, t0: datetime, t1: datetime) -> tuple[
     per_camera = []
     for cam in sorted(profile.cameras, key=lambda c: c.camera_id):
         cols = _simulate_camera(cam, profile, t0_us, t1_us)
-        _tally_truth(truth, cam.camera_id, cols)
-        per_camera.append((cam.camera_id, cols))
+        if cols:
+            _tally_truth(truth, cam.camera_id, cols)
+            per_camera.append((cam.camera_id, cols))
     return per_camera, truth
 
 
@@ -253,29 +222,14 @@ def generate_lines(profile: SimProfile, t0: datetime, t1: datetime) -> tuple[Ite
     def lines() -> Iterator[str]:
         if not per_camera:
             return
-        cam_col = np.concatenate([np.full(len(c.time_us), cid, dtype=np.int64) for cid, c in per_camera])
-        times = np.concatenate([c.time_us for _, c in per_camera])
-        gids = np.concatenate([c.global_id for _, c in per_camera])
-        order = np.lexsort((gids, cam_col, times))
-        lids = np.concatenate([c.local_id for _, c in per_camera])
-        xs = np.concatenate([c.x for _, c in per_camera])
-        ys = np.concatenate([c.y for _, c in per_camera])
-        ws = np.concatenate([c.w for _, c in per_camera])
-        hs = np.concatenate([c.h for _, c in per_camera])
-        t_l = times[order].tolist()
-        c_l = cam_col[order].tolist()
-        g_l = gids[order].tolist()
-        l_l = lids[order].tolist()
-        x_l = xs[order].tolist()
-        y_l = ys[order].tolist()
-        w_l = ws[order].tolist()
-        h_l = hs[order].tolist()
-
-        for i in range(len(t_l)):
+        columns = {name: np.concatenate([c[name] for _, c in per_camera]) for name in per_camera[0][1]}
+        columns["camera_ids"] = np.concatenate([np.full(len(c["times"]), cid, dtype=np.int64) for cid, c in per_camera])
+        order = np.lexsort((columns["global_ids"], columns["camera_ids"], columns["times"]))
+        names = ("times", "camera_ids", "x", "y", "w", "h", "local_ids", "global_ids")
+        for t, camera, x, y, w, h, local_id, global_id in zip(*(columns[name][order].tolist() for name in names)):
             yield (
-                f'{{"record_time":"{format_rfc3339(t_l[i])}","camera_id":{c_l[i]},"class_id":0,'
-                f'"bbox":[{x_l[i]},{y_l[i]},{w_l[i]},{h_l[i]}],'
-                f'"local_id":{l_l[i]},"global_id":{g_l[i]}}}'
+                f'{{"record_time":"{format_rfc3339(t)}","camera_id":{camera},"class_id":0,'
+                f'"bbox":[{x},{y},{w},{h}],"local_id":{local_id},"global_id":{global_id}}}'
             )
 
     return lines(), truth
@@ -291,13 +245,18 @@ def write_stream(
     """Write the stream as newline-delimited records (and the truth CSV); returns the record count."""
     lines, truth = generate_lines(profile, t0, t1)
     n = 0
-    with Path(records_path).open("w", encoding="utf-8") as fh:
-        for line in lines:
-            fh.write(line)
-            fh.write("\n")
-            n += 1
-    if truth_path is not None:
-        Path(truth_path).write_text(truth.to_csv(), encoding="utf-8")
+    path = Path(records_path)
+    try:
+        with path.open("w", encoding="utf-8") as fh:
+            for line in lines:
+                fh.write(line)
+                fh.write("\n")
+                n += 1
+        if truth_path is not None:
+            path = Path(truth_path)
+            path.write_text(truth.to_csv(), encoding="utf-8")
+    except OSError as exc:
+        raise OutputUnwritable(f"cannot write {path}: {exc}") from exc
     return n
 
 

@@ -4,11 +4,10 @@ Every module boundary of the analytics passes integer microseconds since the
 Unix epoch, or epoch days, and numpy columns of them. The CLI parses its
 instants with parse_rfc3339 and its days with parse_day, and writes them
 back with format_rfc3339 and window_days. Datetimes remain only in synth
-(its spans and holidays), in the CLI's `simulate` that calls it, in the
-record schema's DetectionRecord, and in the occupancy.replay and
-anomaly.replay facades, which the benchmark's spans still patch. The
-5-second analytics grid is aligned to the epoch, so bucketing is
-reproducible regardless of data arrival.
+(its spans and holidays), in the CLI's `simulate` that calls it, and in
+the occupancy.replay and anomaly.replay facades, which the benchmark's
+spans still patch. The 5-second analytics grid is aligned to the epoch, so
+bucketing is reproducible regardless of data arrival.
 """
 
 from __future__ import annotations

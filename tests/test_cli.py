@@ -595,6 +595,24 @@ def test_a_day_is_yyyy_mm_dd_and_nothing_else(tmp_path, capsys, day):
     assert capsys.readouterr().err.startswith("svaa: InvalidProfile: bad profile document: not a YYYY-MM-DD day")
 
 
+@pytest.mark.parametrize("output", ["heatmap --out", "simulate --out", "simulate --truth"])
+def test_an_output_in_a_missing_directory_exits_1(tmp_path, capsys, output):
+    """A typed error that names the path, not a traceback."""
+    command, option = output.split()
+    path = tmp_path / "missing" / "out.csv"
+    if command == "heatmap":
+        store, config = _tiny_store(tmp_path)
+        argv = (*HEATMAP, "--out", path, "--store", store, "--config", config)
+    else:
+        profile = tmp_path / "profile.json"
+        profile.write_text(json.dumps({"cameras": [{"camera_id": 1, "hourly_rate": [1.0] * 24}]}))
+        outputs = {"--out": tmp_path / "sim.jsonl", "--truth": tmp_path / "truth.csv", option: path}
+        argv = ("simulate", "--profile", profile, "--from", T0, "--to", T1, *(w for item in outputs.items() for w in item))
+    capsys.readouterr()
+    assert run(*argv) == (1, "")
+    assert capsys.readouterr().err.startswith(f"svaa: OutputUnwritable: cannot write {path}: ")
+
+
 # What the CLI-never-raises property feeds to numeric options and config keys: edge values, then any.
 NUMBER_TEXTS = st.one_of(
     st.sampled_from(["0", "-0", "-1", "1", "2.5", "1e-07", "5e-07", "nan", "inf", "-inf", "1e20", "1e400", "9" * 30,

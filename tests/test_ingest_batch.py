@@ -65,8 +65,7 @@ def ingest_per_line(source) -> tuple[tuple, list[str], dict[int, str], dict[int,
 
 def _columns(store: RecordStore) -> dict[int, dict[str, bytes]]:
     """Every camera's columns in append order, as bytes."""
-    return {c: {name: getattr(log, name).tobytes() for name, _ in records._COLUMNS}
-            for c, log in store._logs.items() if len(log)}
+    return {c: {name: column.tobytes() for name, column in log.columns.items()} for c, log in store._logs.items() if len(log)}
 
 
 def _pixel(draw, low: int = 0) -> str:
@@ -94,7 +93,7 @@ def records_(draw) -> dict:
 
 
 def canonical(rec: dict) -> str:
-    """The line in the shape format_record writes, with the box numbers as given."""
+    """The line in the shape schema.format_record writes, with the box numbers as given."""
     return (f'{{"record_time":"{rec["record_time"]}","camera_id":{rec["camera_id"]},"class_id":{rec["class_id"]},'
             f'"bbox":[{",".join(rec["bbox"])}],"local_id":{rec["local_id"]},"global_id":{rec["global_id"]}}}')
 

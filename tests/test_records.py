@@ -15,15 +15,14 @@ from svaa.errors import InvalidBBox, InvalidTimestamp, InvertedRange, MalformedL
 from svaa.records import (
     MAX_SERIES_WINDOWS,
     RecordStore,
-    format_record,
     human_rows,
     ingest_stream,
-    parse_record,
     window_count_series,
 )
 from svaa.timeutil import WINDOW_US, format_rfc3339, from_us, parse_rfc3339, to_us, window_days
 
 from conftest import make_line, store_from_lines, utc
+from schema import format_record, parse_record
 
 
 class TestParseRecord:

@@ -21,9 +21,6 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "svaa"
 MODULES = sorted(SRC.glob("*.py"))
-# The record schema: the parser of a stored line and its canonical writer. No command calls them, but
-# they define the line format that ingest validates, and the parser property tests them as a pair.
-SCHEMA = frozenset({"parse_record", "format_record"})
 # records.py's batch decoder, which leaves every line it does not take to _parse_fields, and the errors of a line
 DECODER = ("_digits", "_instants", "_decode", "_parse_batch")
 LINE_ERRORS = frozenset({"MalformedLine", "InvalidTimestamp", "InvalidBBox"})
@@ -137,7 +134,7 @@ def unreached(defining: dict[str, ast.Module], readers: dict[str, ast.Module], e
     return [
         f"{module}.{node.name}" for module, tree in defining.items() for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and node.name not in SCHEMA | entry_points
+        and node.name not in entry_points
         and not any(node.name in names for stmt, names in reads if stmt is not node)
     ]
 
@@ -226,7 +223,6 @@ def test_the_rules_catch_what_they_forbid():
             "class Node:\n"
             "    def parent(self) -> Node: pass\n"  # likewise
             "def by_attribute(): pass\n"
-            "def parse_record(): pass\n"
             "def entry(): used()\n"
         ),
         "__init__.py": ast.parse("from .a import dead, by_attribute\n__all__ = ['dead', 'Node']\n"),

@@ -54,6 +54,18 @@ class TestSnapshot:
         _build(root, _lines(4) + [raw_utf8])
         assert _snapshot(root) == (_jsonl(root).stat().st_size, 5)
 
+    def test_snapshot_members_and_dtypes_are_pinned(self, tmp_path):
+        """The stamp and the eight record columns, nothing else: so a snapshot written by an earlier release
+        still opens without a parse, and one written now opens in that release."""
+        root = tmp_path / "store"
+        _build(root, _lines(3))
+        with np.load(root / "camera_00001.snap.npz", allow_pickle=False) as z:
+            members = {name: (z[name].dtype, z[name].shape) for name in z.files}
+        i8, f8 = np.dtype(np.int64), np.dtype(np.float64)
+        assert members == {"covered": (i8, ()), "sha256": (np.dtype(np.uint8), (32,)),
+                           "times": (i8, (3,)), "class_ids": (i8, (3,)), "global_ids": (i8, (3,)),
+                           "local_ids": (i8, (3,)), "x": (f8, (3,)), "y": (f8, (3,)), "w": (f8, (3,)), "h": (f8, (3,))}
+
     def test_stale_snapshot_parses_only_the_tail(self, tmp_path):
         root = tmp_path / "store"
         _build(root, _lines(5))

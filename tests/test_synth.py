@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from svaa.errors import InvalidProfile
-from svaa.records import RecordStore, format_record, ingest_stream, parse_record
+from svaa.records import RecordStore, ingest_stream
 from svaa.synth import (
     DEFAULT_HOLIDAYS,
     DEFAULT_SPAN,
@@ -25,6 +25,7 @@ from svaa.synth import (
 from svaa.timeutil import date_to_day, is_weekend
 
 from conftest import utc
+from schema import format_record, parse_record
 
 T0 = utc(2023, 10, 16)
 T1 = utc(2023, 10, 17)
