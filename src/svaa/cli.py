@@ -5,18 +5,22 @@ are RFC 3339 UTC; day windows and day classes are UTC-defined. Every
 analytic is routed through the corresponding module operation, the CLI only
 parses arguments and formats output: instants, seconds and days go in as
 epoch microseconds and epoch days, and come back as numbers and numpy
-columns that only this module turns into text. Numeric options are checked
-here, and config values in config.py, before any module sees them. main
-returns the exit status: 0, 1 for an AnalyticsError, or 2 for a usage error.
+columns that only this module turns into text. The replays (`occupancy
+--live`, `anomaly --replay`) print one line per 5-second window through one
+writer, _write_windows: it formats each run of consecutive equal rows once
+and writes each line with its own write. Numeric options are checked here,
+and config values in config.py, before any module sees them. main returns
+the exit status: 0, 1 for an AnalyticsError, or 2 for a usage error; the
+console script exits 1, silently, when its stdout is closed early.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from datetime import timedelta
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -83,32 +87,48 @@ def _fmt(value: float) -> str:
     return f"{value:.9g}"
 
 
-def _texts(values: np.ndarray, fmt) -> list[str]:
-    """fmt of each value, called once per distinct value."""
-    distinct, inverse = np.unique(values, return_inverse=True)
-    return np.array([fmt(v) for v in distinct.tolist()], dtype=object)[inverse].tolist()
-
-
 def _null(value: int) -> str:
     return str(value) if value >= 0 else "null"
 
 
-_LEVEL_NAMES = np.array([level.name for level in occupancy.Level], dtype=object)
-_FLAG_TEXTS = np.array(["false", "true"], dtype=object)
+_LEVEL_NAMES = [level.name for level in occupancy.Level]
 
 
-def _occupancy_rows(series: occupancy.Levels, camera_id: int, lo: int, hi: int) -> Iterator[tuple]:
-    """Windows lo..hi-1 of a replay as (count, level, p25, p75, bucket) texts."""
-    buckets = np.array([str(key) for key in occupancy.bucket_keys(camera_id)], dtype=object)
-    return zip(series.counts[lo:hi].tolist(), _LEVEL_NAMES[series.level[lo:hi]].tolist(),
-               _texts(series.p25[lo:hi], _null), _texts(series.p75[lo:hi], _null),
-               buckets[series.slots[lo:hi]].tolist())
+def _occupancy_texts(camera_id: int):
+    """The (count, level, p25, p75, bucket) texts of a Levels row (count, slot, level, p25, p75), as a function."""
+    buckets = [str(key) for key in occupancy.bucket_keys(camera_id)]
+    return lambda count, slot, level, p25, p75: (count, _LEVEL_NAMES[level], _null(p25), _null(p75), buckets[slot])
 
 
 def _occupancy_fields(row: tuple) -> str:
-    """An occupancy line's fields after window_start, from one row of _occupancy_rows."""
+    """An occupancy line's fields after window_start, from the texts of one row (see _occupancy_texts)."""
     count, level, p25, p75, bucket = row
     return f'"count":{count},"level":"{level}","p25":{p25},"p75":{p75},"bucket":"{bucket}"'
+
+
+def _write_windows(out, starts: np.ndarray, head: str, day_columns, tail) -> None:
+    """Write head + the RFC 3339 start + tail(*row) for each window of a replay, one write per line.
+
+    starts are consecutive grid windows. day_columns(lo, hi) returns the row
+    columns of windows lo..hi-1 and is asked one UTC day at a time; tail is
+    called once per run of consecutive equal rows in a day, with the row's
+    values as Python scalars. Floats are compared by their bits, so 0.0 and
+    -0.0 begin different runs.
+    """
+    write = out.write
+    for lo, hi, date, times in window_days(starts):
+        columns = day_columns(lo, hi)
+        change = np.zeros(hi - lo - 1, dtype=bool)
+        for column in columns:
+            bits = column.view(f"i{column.itemsize}") if column.dtype.kind == "f" else column
+            change |= bits[1:] != bits[:-1]
+        firsts = np.flatnonzero(np.concatenate(([True], change)))
+        ends = np.append(firsts[1:], hi - lo).tolist()
+        prefix = head + date
+        for a, b, row in zip(firsts.tolist(), ends, zip(*(column[firsts].tolist() for column in columns))):
+            text = tail(*row)
+            for time in times[a:b]:
+                write(f"{prefix}{time}{text}")
 
 
 def cmd_ingest(args, config: AppConfig, out) -> int:
@@ -205,6 +225,7 @@ def cmd_occupancy(args, config: AppConfig, out) -> int:
         min_samples=config.occupancy_min_samples,
         capacity=config.occupancy_history_capacity,
     )
+    texts = _occupancy_texts(args.camera)
     if args.live:
         series = occupancy.levels(
             store, args.camera,
@@ -213,18 +234,16 @@ def cmd_occupancy(args, config: AppConfig, out) -> int:
         )
         if series is None:
             return 0
-        write, fields = out.write, _occupancy_fields
-        for lo, hi, date, times in window_days(series.starts):
-            for time, row in zip(times, _occupancy_rows(series, args.camera, lo, hi)):
-                write(f'{{"window_start":"{date}{time}",{fields(row)}}}\n')
+        _write_windows(out, series.starts, '{"window_start":"', lambda lo, hi: [c[lo:hi] for c in series[1:]],
+                       lambda *row: f'",{_occupancy_fields(texts(*row))}}}\n')
         return 0
     if not args.at:
         raise UsageError("occupancy needs --at TIMESTAMP or --live")
     series = occupancy.level_at(store, args.camera, parse_rfc3339(args.at), **kwargs)
     if series is None:
         raise AnalyticsError(f"camera {args.camera} has no records before {args.at}")
-    (row,) = _occupancy_rows(series, args.camera, 0, 1)
-    out.write(f"{{{_occupancy_fields(row)}}}\n")
+    (row,) = zip(*(column.tolist() for column in series[1:]))
+    out.write(f"{{{_occupancy_fields(texts(*row))}}}\n")
     return 0
 
 
@@ -237,17 +256,15 @@ def cmd_anomaly(args, config: AppConfig, out) -> int:
         raise UsageError("--replay wants a range like 2023-10-16T00:00:00Z..2023-10-17T00:00:00Z")
     series = anomaly_mod.moments(store, args.camera, holidays=config.holidays,
                                  t0_us=parse_rfc3339(t0_text), t1_us=parse_rfc3339(t1_text))
-    write = out.write
-    write("window_start,count,mean,std,z,is_anomaly\n")
-    for lo, hi, date, times in window_days(series.starts):
+
+    def day_columns(lo: int, hi: int) -> tuple:
         counts = series.counts[lo:hi]
-        flag, mean, std, z = anomaly_mod.verdicts(counts, series.n[lo:hi], series.s[lo:hi], series.q[lo:hi],
-                                                  config.anomaly_min_samples)
-        for time, count, mean_text, std_text, z_text, flag_text in zip(
-            times, counts.tolist(), _texts(mean, _fmt), _texts(std, _fmt), _texts(z, _fmt),
-            _FLAG_TEXTS[flag.view(np.int8)].tolist(),
-        ):
-            write(f"{date}{time},{count},{mean_text},{std_text},{z_text},{flag_text}\n")
+        return counts, *anomaly_mod.verdicts(counts, series.n[lo:hi], series.s[lo:hi], series.q[lo:hi],
+                                             config.anomaly_min_samples)
+
+    out.write("window_start,count,mean,std,z,is_anomaly\n")
+    _write_windows(out, series.starts, "", day_columns, lambda count, flag, mean, std, z:
+                   f",{count},{_fmt(mean)},{_fmt(std)},{_fmt(z)},{'true' if flag else 'false'}\n")
     return 0
 
 
@@ -398,7 +415,15 @@ def main(argv: list[str] | None = None, out=None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    """The console script: main's exit status, or 1 and no traceback once stdout's reader is gone (`| head`)."""
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; point it at devnull so that flush cannot fail too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -6,10 +6,14 @@ import hashlib
 import io
 import json
 import logging
+import os
 import random
 import shutil
+import subprocess
+import sys
 import tracemalloc
 from datetime import datetime, timedelta
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -17,9 +21,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from svaa import cli, metrics, synth
+from svaa import cli, metrics, occupancy, synth
 from svaa.records import RecordStore, ingest_stream
-from svaa.timeutil import parse_day
+from svaa.timeutil import US_PER_DAY, WINDOW_US, format_rfc3339, parse_day, parse_rfc3339
 
 from conftest import make_line
 
@@ -310,7 +314,10 @@ class Lines:
 
 
 def test_renderer_patch_reaches_every_occupancy_line_and_each_write_is_one_line(built, config, window, monkeypatch):
-    """A benchmark check that corrupts cli._occupancy_fields must see both --at and --live change."""
+    """A benchmark check that corrupts cli._occupancy_fields must see both --at and --live change.
+
+    --live renders once per run of equal rows, not once per line.
+    """
     store, ref = built
     common = ("--store", store, "--config", config)
     at = ("occupancy", "--camera", 1, "--at", window[:-1] + ".5Z", *common)
@@ -322,11 +329,64 @@ def test_renderer_patch_reaches_every_occupancy_line_and_each_write_is_one_line(
         assert "".join(out.writes) == ref[label]
         assert len(out.writes) == ref[label].count("\n") and all(
             text.endswith("\n") and text.count("\n") == 1 for text in out.writes)
-    renderer = cli._occupancy_fields
-    monkeypatch.setattr(cli, "_occupancy_fields", lambda row: renderer(row).replace('"bucket"', '"bucket "'))
+    with RecordStore(store) as opened:
+        rows = np.column_stack(occupancy.levels(opened, 2, t0_us=parse_rfc3339(T0), t1_us=parse_rfc3339(T1))[1:])
+    runs = 1 + np.count_nonzero((rows[1:] != rows[:-1]).any(axis=1))
+    renderer, calls = cli._occupancy_fields, []
+    monkeypatch.setattr(cli, "_occupancy_fields",
+                        lambda row: calls.append(row) or renderer(row).replace('"bucket"', '"bucket "'))
     for argv, label in ((at, "occupancy_at"), (live, "occupancy_live")):
+        calls.clear()
         rc, out = run(*argv)
         assert rc == 0 and out != ref[label] and out.count('"bucket "') == ref[label].count("\n")
+    assert len(calls) == runs < ref["occupancy_live"].count("\n")
+
+
+@st.composite
+def replays(draw):
+    """Window starts from near some UTC midnight, and row columns built from runs of int, float and bool values."""
+    day = draw(st.integers(19_000, 19_003))
+    first = day * US_PER_DAY + draw(st.integers(-40, 40)) * WINDOW_US
+    runs = draw(st.lists(st.tuples(st.integers(0, 2), st.sampled_from([0.0, -0.0, 2.5]), st.booleans(),
+                                   st.integers(1, 30)), max_size=6))
+    rows = [row for *row, length in runs for _ in range(length)]
+    starts = first + WINDOW_US * np.arange(len(rows), dtype=np.int64)
+    columns = [np.array([row[k] for row in rows], dtype=dtype)
+               for k, dtype in enumerate((np.int64, np.float64, np.bool_))]
+    return starts, columns
+
+
+@settings(max_examples=100, deadline=None)
+@given(replay=replays())
+def test_the_replay_writer_writes_each_window_as_a_per_window_loop_does(replay):
+    starts, columns = replay
+    rendered = []
+
+    def tail(*row):
+        rendered.append(row)
+        return f",{row!r}\n"
+
+    out = Lines()
+    cli._write_windows(out, starts, "w=", lambda lo, hi: [column[lo:hi] for column in columns], tail)
+    rows = list(zip(*(column.tolist() for column in columns)))
+    assert out.writes == [f"w={format_rfc3339(start)},{row!r}\n" for start, row in zip(starts.tolist(), rows)]
+    days = (starts // US_PER_DAY).tolist()
+    assert len(rendered) == sum(1 for i in range(len(rows))  # once per run within a day; repr tells -0.0 from 0.0
+                                if i == 0 or days[i] != days[i - 1] or repr(rows[i]) != repr(rows[i - 1]))
+
+
+def test_a_closed_pipe_ends_the_console_script_with_status_1_and_nothing_on_stderr(built, config):
+    """`svaa anomaly --replay … | head -1`: the reader goes away while the replay still writes."""
+    store, _ = built
+    argv = ["anomaly", "--camera", "1", "--replay", f"{DAY}T00:00:00Z..2023-10-18T00:00:00Z",  # 34,560 lines
+            "--store", str(store), "--config", str(config)]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    with subprocess.Popen([sys.executable, "-m", "svaa.cli", *argv], stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, env=env) as child:
+        assert child.stdout.readline() == b"window_start,count,mean,std,z,is_anomaly\n"
+        child.stdout.close()
+        assert child.wait(timeout=30) == 1
+        assert child.stderr.read() == b""
 
 
 def test_at_equals_the_live_line_at_every_window(tmp_path, capsys):

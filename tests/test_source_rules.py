@@ -3,7 +3,8 @@
 records.py alone reads a camera's row index: no other module calls
 `.index(` on a store or imports HUMAN_CLASS. Every rejected record line has
 one source: records.py's batch decoder raises no line error, and only
-`_parse_fields` calls `json.loads`. metrics.py, birdseye.py and heatmap.py
+`_parse_fields` calls `json.loads`. Only cli._write_windows splits a replay's
+windows at UTC midnight (`window_days`). metrics.py, birdseye.py and heatmap.py
 take and return epoch microseconds: they import nothing from `datetime` and
 neither import nor call `to_us` or `from_us`. No module keeps a top-level
 import it never uses, and no top-level function or class is left that no
@@ -105,17 +106,20 @@ def raised(node: ast.AST) -> set[str]:
     return names
 
 
-def json_loads_callers(tree: ast.Module) -> list[str]:
-    """The top-level functions, or `Class.method`s, that call json.loads; "<module>" for a call outside them."""
-    callers = []
+def callers(tree: ast.Module, name: str) -> list[str]:
+    """The top-level functions, or `Class.method`s, that call `name`; "<module>" for a call outside them.
+
+    A call matches when name ends its dotted name: `timeutil.window_days(...)` calls window_days.
+    """
+    found = []
     for stmt in tree.body:
         if isinstance(stmt, ast.ClassDef):
             scopes = [(f"{stmt.name}.{m.name}" if hasattr(m, "name") else stmt.name, m) for m in stmt.body]
         else:
             scopes = [(getattr(stmt, "name", "<module>"), stmt)]
-        callers += [name for name, scope in scopes for n in ast.walk(scope)
-                    if isinstance(n, ast.Call) and _dotted(n.func) == "json.loads"]
-    return callers
+        found += [scope_name for scope_name, scope in scopes for n in ast.walk(scope)
+                  if isinstance(n, ast.Call) and f".{_dotted(n.func)}".endswith(f".{name}")]
+    return found
 
 
 def _reads(node: ast.AST) -> set[str]:
@@ -156,7 +160,13 @@ def test_every_rejected_line_has_one_source():
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     for name in DECODER:
         assert raised(functions[name]) & LINE_ERRORS == set(), f"records.{name} rejects a line; leave it to _parse_fields"
-    assert json_loads_callers(tree) == ["_parse_fields"]
+    assert callers(tree, "json.loads") == ["_parse_fields"]
+
+
+def test_one_replay_writer_splits_windows_at_midnight():
+    """A replay writes through cli._write_windows, so none grows its own per-window loop again."""
+    found = [f"{path.stem}.{caller}" for path in MODULES for caller in callers(_tree(path), "window_days")]
+    assert found == ["cli._write_windows"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -214,7 +224,17 @@ def test_the_rules_catch_what_they_forbid():
     )
     assert raised(decoder.body[1]) == {"MalformedLine", "InvalidBBox"}
     assert raised(decoder.body[3]) == {"KeyError"}
-    assert json_loads_callers(decoder) == ["_decode", "_parse_fields", "Store.load", "<module>"]
+    assert callers(decoder, "json.loads") == ["_decode", "_parse_fields", "Store.load", "<module>"]
+
+    replays = ast.parse(
+        "from .timeutil import window_days\n"
+        "def replay(starts):\n"
+        "    for day in window_days(starts): yield day\n"
+        "class Follow:\n"
+        "    def poll(self, starts): return list(timeutil.window_days(starts))\n"
+        "days = my_window_days(starts), window_days\n"
+    )
+    assert callers(replays, "window_days") == ["replay", "Follow.poll"]
 
     package = {
         "a.py": ast.parse(
