@@ -7,8 +7,9 @@ parses arguments and formats output: instants, seconds and days go in as
 epoch microseconds and epoch days, and come back as numbers and numpy
 columns that only this module turns into text. The replays (`occupancy
 --live`, `anomaly --replay`) print one line per 5-second window through one
-writer, _write_windows: it formats each run of consecutive equal rows once
-and writes each line with its own write. Numeric options are checked here,
+writer, _write_windows: per UTC day it formats each distinct value of a
+column once and builds the text of each run of consecutive equal rows once,
+and it writes each line with its own write. Numeric options are checked here,
 and config values in config.py, before any module sees them. main returns
 the exit status: 0, 1 for an AnalyticsError, or 2 for a usage error; the
 console script exits 1, silently, when its stdout is closed early.
@@ -94,41 +95,47 @@ def _null(value: int) -> str:
 _LEVEL_NAMES = [level.name for level in occupancy.Level]
 
 
-def _occupancy_texts(camera_id: int):
-    """The (count, level, p25, p75, bucket) texts of a Levels row (count, slot, level, p25, p75), as a function."""
+_OCCUPANCY_COLUMNS = ("counts", "level", "p25", "p75", "slots")  # Levels columns, in _occupancy_fields' order
+
+
+def _occupancy_formats(camera_id: int) -> tuple:
+    """One formatter per column of _OCCUPANCY_COLUMNS: together they give the texts that _occupancy_fields takes."""
     buckets = [str(key) for key in occupancy.bucket_keys(camera_id)]
-    return lambda count, slot, level, p25, p75: (count, _LEVEL_NAMES[level], _null(p25), _null(p75), buckets[slot])
+    return str, _LEVEL_NAMES.__getitem__, _null, _null, buckets.__getitem__
 
 
 def _occupancy_fields(row: tuple) -> str:
-    """An occupancy line's fields after window_start, from the texts of one row (see _occupancy_texts)."""
+    """An occupancy line's fields after window_start, from the texts of one row (see _occupancy_formats)."""
     count, level, p25, p75, bucket = row
     return f'"count":{count},"level":"{level}","p25":{p25},"p75":{p75},"bucket":"{bucket}"'
 
 
-def _write_windows(out, starts: np.ndarray, head: str, day_columns, tail) -> None:
-    """Write head + the RFC 3339 start + tail(*row) for each window of a replay, one write per line.
+def _write_windows(out, starts: np.ndarray, head: str, day_columns, formats: tuple, tail) -> None:
+    """Write head + the RFC 3339 start + tail(*texts) for each window of a replay, one write per line.
 
     starts are consecutive grid windows. day_columns(lo, hi) returns the row
-    columns of windows lo..hi-1 and is asked one UTC day at a time; tail is
-    called once per run of consecutive equal rows in a day, with the row's
-    values as Python scalars. Floats are compared by their bits, so 0.0 and
-    -0.0 begin different runs.
+    columns of windows lo..hi-1 and is asked one UTC day at a time. Within a
+    day, formats[k] turns each distinct value of column k into text once, and
+    tail is called once per run of consecutive equal rows, with the row's
+    texts. Floats are compared by their bits, so 0.0 and -0.0 stay apart.
     """
     write = out.write
     for lo, hi, date, times in window_days(starts):
         columns = day_columns(lo, hi)
+        keys = [column.view(f"i{column.itemsize}") if column.dtype.kind == "f" else column for column in columns]
         change = np.zeros(hi - lo - 1, dtype=bool)
-        for column in columns:
-            bits = column.view(f"i{column.itemsize}") if column.dtype.kind == "f" else column
-            change |= bits[1:] != bits[:-1]
+        for key in keys:
+            change |= key[1:] != key[:-1]
         firsts = np.flatnonzero(np.concatenate(([True], change)))
-        ends = np.append(firsts[1:], hi - lo).tolist()
+        texts = []
+        for column, key, fmt in zip(columns, keys, formats):
+            _, at, inverse = np.unique(key[firsts], return_index=True, return_inverse=True)
+            distinct = [fmt(value) for value in column[firsts[at]].tolist()]
+            texts.append([distinct[i] for i in inverse.tolist()])
+        runs = np.array([tail(*row) for row in zip(*texts)], dtype=object)
         prefix = head + date
-        for a, b, row in zip(firsts.tolist(), ends, zip(*(column[firsts].tolist() for column in columns))):
-            text = tail(*row)
-            for time in times[a:b]:
-                write(f"{prefix}{time}{text}")
+        for time, text in zip(times, runs.repeat(np.diff(np.append(firsts, hi - lo))).tolist()):
+            write(f"{prefix}{time}{text}")
 
 
 def cmd_ingest(args, config: AppConfig, out) -> int:
@@ -225,7 +232,7 @@ def cmd_occupancy(args, config: AppConfig, out) -> int:
         min_samples=config.occupancy_min_samples,
         capacity=config.occupancy_history_capacity,
     )
-    texts = _occupancy_texts(args.camera)
+    formats = _occupancy_formats(args.camera)
     if args.live:
         series = occupancy.levels(
             store, args.camera,
@@ -234,16 +241,17 @@ def cmd_occupancy(args, config: AppConfig, out) -> int:
         )
         if series is None:
             return 0
-        _write_windows(out, series.starts, '{"window_start":"', lambda lo, hi: [c[lo:hi] for c in series[1:]],
-                       lambda *row: f'",{_occupancy_fields(texts(*row))}}}\n')
+        _write_windows(out, series.starts, '{"window_start":"',
+                       lambda lo, hi: [getattr(series, name)[lo:hi] for name in _OCCUPANCY_COLUMNS], formats,
+                       lambda *texts: f'",{_occupancy_fields(texts)}}}\n')
         return 0
     if not args.at:
         raise UsageError("occupancy needs --at TIMESTAMP or --live")
     series = occupancy.level_at(store, args.camera, parse_rfc3339(args.at), **kwargs)
     if series is None:
         raise AnalyticsError(f"camera {args.camera} has no records before {args.at}")
-    (row,) = zip(*(column.tolist() for column in series[1:]))
-    out.write(f"{{{_occupancy_fields(texts(*row))}}}\n")
+    texts = tuple(fmt(getattr(series, name).item()) for fmt, name in zip(formats, _OCCUPANCY_COLUMNS))
+    out.write(f"{{{_occupancy_fields(texts)}}}\n")
     return 0
 
 
@@ -263,8 +271,8 @@ def cmd_anomaly(args, config: AppConfig, out) -> int:
                                              config.anomaly_min_samples)
 
     out.write("window_start,count,mean,std,z,is_anomaly\n")
-    _write_windows(out, series.starts, "", day_columns, lambda count, flag, mean, std, z:
-                   f",{count},{_fmt(mean)},{_fmt(std)},{_fmt(z)},{'true' if flag else 'false'}\n")
+    _write_windows(out, series.starts, "", day_columns, (str, ("false", "true").__getitem__, _fmt, _fmt, _fmt),
+                   lambda count, flag, mean, std, z: f",{count},{mean},{std},{z},{flag}\n")
     return 0
 
 

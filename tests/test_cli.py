@@ -360,19 +360,24 @@ def replays(draw):
 @given(replay=replays())
 def test_the_replay_writer_writes_each_window_as_a_per_window_loop_does(replay):
     starts, columns = replay
-    rendered = []
+    formatted, rendered = [], []
 
-    def tail(*row):
-        rendered.append(row)
-        return f",{row!r}\n"
+    def fmt(value):  # repr tells -0.0 from 0.0
+        formatted.append(value)
+        return repr(value)
+
+    def tail(*texts):
+        rendered.append(texts)
+        return f",{'|'.join(texts)}\n"
 
     out = Lines()
-    cli._write_windows(out, starts, "w=", lambda lo, hi: [column[lo:hi] for column in columns], tail)
-    rows = list(zip(*(column.tolist() for column in columns)))
-    assert out.writes == [f"w={format_rfc3339(start)},{row!r}\n" for start, row in zip(starts.tolist(), rows)]
+    cli._write_windows(out, starts, "w=", lambda lo, hi: [column[lo:hi] for column in columns], (fmt,) * 3, tail)
+    rows = [tuple(map(repr, row)) for row in zip(*(column.tolist() for column in columns))]
+    assert out.writes == [f"w={format_rfc3339(start)},{'|'.join(row)}\n" for start, row in zip(starts.tolist(), rows)]
     days = (starts // US_PER_DAY).tolist()
-    assert len(rendered) == sum(1 for i in range(len(rows))  # once per run within a day; repr tells -0.0 from 0.0
-                                if i == 0 or days[i] != days[i - 1] or repr(rows[i]) != repr(rows[i - 1]))
+    firsts = [i for i in range(len(rows)) if i == 0 or days[i] != days[i - 1] or rows[i] != rows[i - 1]]
+    assert len(rendered) == len(firsts)  # once per run within a day
+    assert len(formatted) == sum(len({(days[i], rows[i][k]) for i in firsts}) for k in range(3))  # once per distinct value a day
 
 
 def test_a_closed_pipe_ends_the_console_script_with_status_1_and_nothing_on_stderr(built, config):
